@@ -3,16 +3,15 @@
 
 Times the four pairwise kernels the CPQ engine runs per node pair --
 MINMINDIST, MINMAXDIST, MAXMAXDIST over entry-MBR arrays and the
-leaf x leaf point-distance matrix -- in both implementations the engine
-can use (``CPQOptions.use_vectorized``): the NumPy batch kernels of
-:mod:`repro.geometry.vectorized` and the scalar per-pair loop over
-:mod:`repro.geometry.metrics`, mirroring ``repro.core.engine``'s
-``_scalar_matrix`` / ``_scalar_point_distances`` helpers.
+leaf x leaf point-distance matrix -- in two implementations: the NumPy
+batch kernels of :mod:`repro.geometry.vectorized` that the engine runs,
+and a scalar per-pair loop over the oracle metrics of
+:mod:`repro.geometry.metrics` as the baseline.
 
 The workload is the paper's node shape: M = 21 entries per node
 (1 KiB pages, d = 2), i.e. 441 entry pairs per kernel call.  Besides
 timing, every run asserts the two implementations agree *bitwise* --
-the parity the engine's ``use_vectorized`` flag promises.
+the parity ``tests/test_kernel_parity.py`` pins.
 
 Exit status is the CI gate: nonzero when any kernel's speedup falls
 below ``--min-speedup`` (default 1.0, i.e. "vectorised must not be
@@ -65,7 +64,7 @@ def _make_nodes(seed: int) -> Tuple[np.ndarray, ...]:
 
 
 def _scalar_rect_matrix(fn, mbrs_p, mbrs_q) -> np.ndarray:
-    """The engine's scalar expansion path (``_scalar_matrix``)."""
+    """Scalar baseline: one :mod:`repro.geometry.metrics` call per pair."""
     return np.array(
         [[fn(a, b, EUCLIDEAN) for b in mbrs_q] for a in mbrs_p],
         dtype=np.float64,
@@ -73,7 +72,7 @@ def _scalar_rect_matrix(fn, mbrs_p, mbrs_q) -> np.ndarray:
 
 
 def _scalar_point_matrix(pts_p, pts_q) -> np.ndarray:
-    """The engine's scalar leaf path (``_scalar_point_distances``)."""
+    """Scalar baseline: one metric distance call per point pair."""
     return np.array(
         [[EUCLIDEAN.distance(a, b) for b in pts_q] for a in pts_p],
         dtype=np.float64,

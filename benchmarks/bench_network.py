@@ -8,8 +8,8 @@ engine for every shardable algorithm *through the socket*, then
 drives each configuration with the closed-loop multi-client load
 generator and reports sustained QPS and latency tails.
 
-The shards run in the disk-bound regime (cold buffers plus simulated
-per-miss read latency, exactly like ``bench_parallel.py``): each
+The shards run in the disk-bound regime (cold buffers plus a
+simulated per-miss read latency that sleeps instead of reading): each
 query's partitions wait on "disk" concurrently in separate shard
 processes, so shard scaling shows up as wall-clock throughput even on
 a single CPU core -- the regime the paper's I/O-dominated cost model

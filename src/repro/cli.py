@@ -381,8 +381,6 @@ def cmd_query(args: argparse.Namespace) -> int:
             k=args.k,
             algorithm=args.algorithm,
             buffer_pages=args.buffer,
-            use_vectorized=not args.scalar,
-            workers=args.workers,
             range=range_spec,
             colors=color_spec,
         )
@@ -407,13 +405,6 @@ def cmd_query(args: argparse.Namespace) -> int:
         print(f"# rcp: source={rcp['source']} "
               f"windows={rcp['stored_windows']} hits={rcp['hits']} "
               f"containment={rcp['containment_hits']}")
-    parallel = result.stats.extra.get("parallel")
-    if parallel:
-        print(
-            f"# parallel: {parallel['workers']} workers, "
-            f"{parallel['tasks_completed']}/{parallel['tasks']} tasks "
-            f"({parallel['tasks_skipped']} pruned)"
-        )
     return 0
 
 
@@ -464,7 +455,6 @@ def cmd_explain(args: argparse.Namespace) -> int:
                 request=CPQRequest(
                     k=args.k, algorithm=algorithm,
                     buffer_pages=args.buffer,
-                    workers=args.workers,
                     range=range_spec, colors=color_spec,
                 ),
                 tracer=tracer,
@@ -562,7 +552,6 @@ def _parse_service_request(obj: dict, default_pair: str = "default"):
             algorithm=obj.get("algorithm", "auto"),
             tie_break=obj.get("tie_break"),
             maxmax_pruning=bool(obj.get("maxmax_pruning", True)),
-            use_vectorized=bool(obj.get("use_vectorized", True)),
             range=range_obj,
             colors=obj.get("colors"),
             **common,
@@ -640,7 +629,6 @@ def _make_service(args: argparse.Namespace):
         cache_size=args.cache_size,
         default_deadline_ms=args.deadline_ms,
         tracer=Tracer() if args.trace else None,
-        max_query_workers=getattr(args, "parallel", 1),
     )
     service.register_pair(args.pair, tree_p, tree_q)
     return service
@@ -1591,12 +1579,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--algorithm", choices=ALGORITHMS, default="heap")
     query.add_argument("--buffer", type=int, default=0,
                        help="total LRU buffer pages (B/2 per tree)")
-    query.add_argument("--scalar", action="store_true",
-                       help="use the scalar (non-vectorized) expansion "
-                            "path; results are identical")
-    query.add_argument("--workers", type=int, default=1,
-                       help="intra-query worker threads (partitioned "
-                            "executor); results are byte-identical")
     query.add_argument("--mmap", action="store_true",
                        help="read .pages inputs through the mmap path")
     _add_constraint_flags(query)
@@ -1628,9 +1610,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="also write the spans as JSONL here")
     explain.add_argument("--no-times", action="store_true",
                          help="omit durations (deterministic output)")
-    explain.add_argument("--workers", type=int, default=1,
-                         help="intra-query worker threads; the trace "
-                              "gains per-worker summary spans")
     _add_constraint_flags(explain)
     explain.set_defaults(func=cmd_explain)
 
@@ -1690,10 +1669,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="JSONL request file, or - for stdin")
     batch.add_argument("--out", default=None,
                        help="write JSONL responses here (default stdout)")
-    batch.add_argument("--parallel", type=int, default=1,
-                       help="intra-query worker threads per CPQ "
-                            "(max_query_workers; auto requests let the "
-                            "planner decide within this budget)")
     batch.set_defaults(func=cmd_batch)
 
     serve = sub.add_parser(

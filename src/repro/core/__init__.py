@@ -33,14 +33,12 @@ from repro.core.api import (
 from repro.core.constraints import ColorSpec, RangeSpec
 from repro.core.height import FIX_AT_LEAVES, FIX_AT_ROOT
 from repro.core.kheap import KHeap
-from repro.core.parallel import parallel_k_closest_pairs
 from repro.core.result import ClosestPair, CPQResult
 from repro.core.ties import TIE_CRITERIA, TieCriterion
 
 __all__ = [
     "k_closest_pairs",
     "closest_pair",
-    "parallel_k_closest_pairs",
     "CPQRequest",
     "AlgorithmSpec",
     "ALGORITHM_REGISTRY",

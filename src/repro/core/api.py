@@ -10,10 +10,9 @@ capability flags.
 :func:`k_closest_pairs` runs any registered algorithm on two R-trees
 and returns a :class:`~repro.core.result.CPQResult` carrying the K
 pairs and the cost statistics.  The request object is the only way to
-describe a query -- the historical keyword shim (deprecated since the
-parallel-executor release) is gone; see ``docs/API.md`` for the
-changelog note.  :func:`closest_pair` is the 1-CPQ convenience
-wrapper.
+describe a query -- the historical keyword shim is gone; see
+``docs/API.md`` for the changelog note.  :func:`closest_pair` is the
+1-CPQ convenience wrapper.
 
 Range-constrained and colored queries attach a
 :class:`~repro.core.constraints.RangeSpec` /
@@ -43,20 +42,11 @@ from typing import Callable, Dict, Optional, Tuple
 
 from repro.core.constraints import ColorSpec, RangeSpec
 from repro.core.engine import CPQContext, traced_traversal
-from repro.errors import (
-    DeadlineExceeded,
-    PageCorruptionError,
-    UnsupportedCapabilityError,
-)
+from repro.errors import DeadlineExceeded, UnsupportedCapabilityError
 from repro.core.exhaustive import exhaustive
 from repro.core.heap import heap_algorithm
 from repro.core.height import FIX_AT_ROOT, validate_strategy
 from repro.core.naive import naive
-from repro.core.parallel import (
-    PARALLEL_MODES,
-    PARTITION_DEPTHS,
-    parallel_k_closest_pairs,
-)
 from repro.core.result import ClosestPair, CPQResult
 from repro.core.simple import simple
 from repro.core.sorted_distances import sorted_distances
@@ -80,13 +70,14 @@ class AlgorithmSpec:
 
     The flags let generic consumers (CLI, planner, service validation)
     reason about an algorithm without hard-coding its name: whether it
-    answers K > 1 queries, honours cooperative deadlines, has a
-    vectorized kernel path, and whether the cost-model planner may
-    select it (NAIVE is correct but exponentially expensive, so it is
-    registered as not plannable).
+    answers K > 1 queries, honours cooperative deadlines, and whether
+    the cost-model planner may select it (NAIVE is correct but
+    exponentially expensive, so it is registered as not plannable).
 
-    ``supports_parallel`` marks algorithms the partitioned executor
-    (:mod:`repro.core.parallel`) can run with ``workers > 1``.
+    ``supports_parallel`` marks the algorithms the shard tier
+    (:class:`~repro.net.shard.ShardManager`) can run sharded: their
+    traversal restarts from any subtree pair of the partition frontier,
+    so per-shard answers merge into the serial one.
     ``supports_range`` / ``supports_colors`` mark algorithms that
     honour a request's :class:`~repro.core.constraints.RangeSpec` /
     :class:`~repro.core.constraints.ColorSpec`; request validation
@@ -105,7 +96,6 @@ class AlgorithmSpec:
     description: str
     supports_many: bool = True
     supports_deadline: bool = True
-    supports_vectorized: bool = True
     plannable: bool = True
     supports_parallel: bool = False
     supports_range: bool = False
@@ -125,11 +115,11 @@ class AlgorithmSpec:
 
 
 def _run_naive(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    return naive(ctx, request.height_strategy, request.use_vectorized)
+    return naive(ctx, request.height_strategy)
 
 
 def _run_exh(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
-    return exhaustive(ctx, request.height_strategy, request.use_vectorized)
+    return exhaustive(ctx, request.height_strategy)
 
 
 def _run_sim(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
@@ -137,7 +127,6 @@ def _run_sim(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         ctx,
         request.height_strategy,
         request.maxmax_pruning,
-        request.use_vectorized,
     )
 
 
@@ -147,7 +136,6 @@ def _run_std(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         request.height_strategy,
         request.tie_break,
         request.maxmax_pruning,
-        request.use_vectorized,
     )
 
 
@@ -157,7 +145,6 @@ def _run_heap(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         request.height_strategy,
         request.tie_break,
         request.maxmax_pruning,
-        request.use_vectorized,
     )
 
 
@@ -167,7 +154,6 @@ def _run_clipped(ctx: CPQContext, request: "CPQRequest") -> CPQResult:
         request.height_strategy,
         request.tie_break,
         request.maxmax_pruning,
-        request.use_vectorized,
         clip_mindist=True,
     )
     return replace(result, algorithm="CLIPPED")
@@ -329,7 +315,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="K closest pairs within one set (Section 6); "
                         "pass the same tree as both sides",
             supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             self_join=True,
             runner=_run_self,
@@ -340,7 +325,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="all-nearest-neighbour join (Section 6); one "
                         "pair per P point, k ignored",
             supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             semi=True,
             runner=_run_semi,
@@ -351,7 +335,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="m=2 chain of the multi-way engine (Section 6 "
                         "future work (a)); equivalent to a K-CPQ",
             supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             multiway=True,
             runner=_run_multiway,
@@ -362,7 +345,6 @@ ALGORITHM_REGISTRY: Dict[str, AlgorithmSpec] = {
             description="Hjaltason & Samet incremental distance join, "
                         "K-bounded (SML policy)",
             supports_deadline=False,
-            supports_vectorized=False,
             plannable=False,
             incremental=True,
             runner=_run_incremental,
@@ -421,14 +403,6 @@ class CPQRequest:
     request describes *what* to compute, plus the ``deadline_ms`` /
     ``trace`` conveniences for callers without a service around them.
 
-    ``workers`` > 1 routes algorithms with ``supports_parallel``
-    through the partitioned executor (:mod:`repro.core.parallel`):
-    ``partition_depth`` levels of root expansion feed ``workers``
-    threads (or spawned processes with ``parallel_mode="process"``,
-    which requires file-backed trees).  These are execution-only knobs
-    -- the result is byte-identical to serial -- so they are excluded
-    from :meth:`cache_key`.
-
     ``range`` restricts reported pairs to a window
     (:class:`~repro.core.constraints.RangeSpec`; a bare ``(lo, hi)``
     tuple is accepted and normalised) and ``colors`` to category
@@ -446,13 +420,9 @@ class CPQRequest:
     tie_break: Optional[TieBreak] = None
     buffer_pages: Optional[int] = None
     maxmax_pruning: bool = True
-    use_vectorized: bool = True
     deadline_ms: Optional[float] = None
     trace: bool = False
     reset_stats: bool = True
-    workers: int = 1
-    partition_depth: int = 1
-    parallel_mode: str = "thread"
     range: Optional[RangeSpec] = None
     colors: Optional[ColorSpec] = None
 
@@ -488,17 +458,6 @@ class CPQRequest:
             raise ValueError("buffer_pages must be >= 0")
         if self.deadline_ms is not None and self.deadline_ms <= 0:
             raise ValueError("deadline_ms must be > 0")
-        if self.workers < 1:
-            raise ValueError("workers must be >= 1")
-        if self.partition_depth not in PARTITION_DEPTHS:
-            raise ValueError(
-                f"partition_depth must be one of {PARTITION_DEPTHS}"
-            )
-        if self.parallel_mode not in PARALLEL_MODES:
-            raise ValueError(
-                f"unknown parallel_mode {self.parallel_mode!r}; "
-                f"expected one of {PARALLEL_MODES}"
-            )
         validate_strategy(self.height_strategy)
         if self.tie_break is not None:
             object.__setattr__(self, "tie_break", TieBreak.parse(self.tie_break))
@@ -513,14 +472,11 @@ class CPQRequest:
 
         Two requests with equal keys return identical pairs on the same
         tree generations: fields that only change *how* the answer is
-        computed (buffers, deadline, tracing, stats, and the parallel
-        execution knobs ``workers`` / ``partition_depth`` /
-        ``parallel_mode``) are excluded; ``use_vectorized`` is excluded
-        too because the scalar path is bit-identical by construction
-        (and tested to be).  Constraints contribute their *canonical*
-        forms -- corners sorted and floats normalised at construction
-        -- so a window given as ``(hi, lo)`` hits the cache entry of
-        the same window given as ``(lo, hi)``.
+        computed (buffers, deadline, tracing, stats) are excluded.
+        Constraints contribute their *canonical* forms -- corners
+        sorted and floats normalised at construction -- so a window
+        given as ``(hi, lo)`` hits the cache entry of the same window
+        given as ``(lo, hi)``.
         """
         return (
             self.k,
@@ -608,54 +564,17 @@ def k_closest_pairs(
 
         local_tracer = tracer = Tracer()
 
-    if request.workers > 1 and request.spec.supports_parallel:
-        try:
-            result = parallel_k_closest_pairs(
-                tree_p,
-                tree_q,
-                request,
-                cancel_check=cancel_check,
-                tracer=tracer,
-            )
-        except (DeadlineExceeded, ValueError):
-            # Cancellation is the caller's intent; ValueError covers
-            # misconfiguration (e.g. process mode without file-backed
-            # trees) and PageCorruptionError, both deterministic -- a
-            # serial rerun would only hit them again.
-            raise
-        except Exception as exc:  # noqa: BLE001 -- degrade, don't die
-            # Graceful degradation: a worker-pool failure (exhausted
-            # transient retries in one worker, executor breakage)
-            # falls back to the serial engine, which re-reads through
-            # the buffer and may well succeed.  The fallback is
-            # recorded in the result's stats for observability.
-            ctx = CPQContext(
-                tree_p,
-                tree_q,
-                request.k,
-                request.metric,
-                cancel_check=cancel_check,
-                tracer=tracer,
-                range_spec=request.range,
-                color_spec=request.colors,
-            )
-            result = request.spec.runner(ctx, request)
-            result.stats.extra["parallel_fallback"] = {
-                "error": f"{type(exc).__name__}: {exc}",
-                "workers_requested": request.workers,
-            }
-    else:
-        ctx = CPQContext(
-            tree_p,
-            tree_q,
-            request.k,
-            request.metric,
-            cancel_check=cancel_check,
-            tracer=tracer,
-            range_spec=request.range,
-            color_spec=request.colors,
-        )
-        result = request.spec.runner(ctx, request)
+    ctx = CPQContext(
+        tree_p,
+        tree_q,
+        request.k,
+        request.metric,
+        cancel_check=cancel_check,
+        tracer=tracer,
+        range_spec=request.range,
+        color_spec=request.colors,
+    )
+    result = request.spec.runner(ctx, request)
     if local_tracer is not None:
         traces = local_tracer.pop_traces()
         result.trace = traces[-1] if traces else None

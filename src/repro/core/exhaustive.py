@@ -19,7 +19,6 @@ NAME = "EXH"
 def exhaustive(
     ctx: CPQContext,
     height_strategy: str = FIX_AT_ROOT,
-    use_vectorized: bool = True,
 ) -> CPQResult:
     """Run the Exhaustive algorithm on a prepared query context."""
     options = CPQOptions(
@@ -27,6 +26,5 @@ def exhaustive(
         update_bound=False,
         sort=False,
         height_strategy=height_strategy,
-        use_vectorized=use_vectorized,
     )
     return run_recursive(ctx, options, NAME)

@@ -42,7 +42,6 @@ def heap_algorithm(
     height_strategy: str = FIX_AT_ROOT,
     tie_break: Optional[TieBreak] = None,
     maxmax_pruning: bool = True,
-    use_vectorized: bool = True,
     clip_mindist: bool = False,
 ) -> CPQResult:
     """Run the Heap algorithm on a prepared query context.
@@ -59,7 +58,6 @@ def heap_algorithm(
         sort=False,
         height_strategy=height_strategy,
         maxmax_k_pruning=maxmax_pruning,
-        use_vectorized=use_vectorized,
         clip_mindist=clip_mindist,
     )
     ties = tie_break if tie_break is not None else DEFAULT_TIE_BREAK
@@ -78,7 +76,7 @@ def heap_algorithm(
         ctx.check_cancelled()
         ctx.stats.node_pairs_visited += 1
         if node_p.is_leaf and node_q.is_leaf:
-            scan_leaf_pair(ctx, node_p, node_q, options)
+            scan_leaf_pair(ctx, node_p, node_q)
             return
         candidates = generate_candidates(ctx, node_p, node_q, options)
         for position in range(len(candidates)):

@@ -11,10 +11,10 @@ Tie-breaking is *canonical*: pairs are compared by the full
 point coordinates, then object ids), not by discovery order.  The
 retained set is therefore exactly the K smallest pairs in that total
 order among all pairs ever offered -- a pure function of the offered
-*set*, independent of offer order.  This is what makes the parallel
-executor (:mod:`repro.core.parallel`) byte-identical to the serial
-path: any traversal that offers every pair within the final bound
-yields the same K-heap content, including tie order.
+*set*, independent of offer order.  This is what makes the shard
+tier (:mod:`repro.net.shard`) byte-identical to the serial path: any
+traversal that offers every pair within the final bound yields the
+same K-heap content, including tie order.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ NAME = "NAIVE"
 def naive(
     ctx: CPQContext,
     height_strategy: str = FIX_AT_ROOT,
-    use_vectorized: bool = True,
 ) -> CPQResult:
     """Run the Naive algorithm on a prepared query context."""
     options = CPQOptions(
@@ -26,6 +25,5 @@ def naive(
         update_bound=False,
         sort=False,
         height_strategy=height_strategy,
-        use_vectorized=use_vectorized,
     )
     return run_recursive(ctx, options, NAME)

@@ -24,7 +24,6 @@ def simple(
     ctx: CPQContext,
     height_strategy: str = FIX_AT_ROOT,
     maxmax_pruning: bool = True,
-    use_vectorized: bool = True,
 ) -> CPQResult:
     """Run the Simple recursive algorithm on a prepared query context.
 
@@ -37,7 +36,6 @@ def simple(
         sort=False,
         height_strategy=height_strategy,
         maxmax_k_pruning=maxmax_pruning,
-        use_vectorized=use_vectorized,
     )
     return run_recursive(
         ctx, options, NAME,

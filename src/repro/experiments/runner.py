@@ -26,7 +26,6 @@ def run_cpq(
     buffer_pages: int = 0,
     height_strategy: str = "fix-at-root",
     tie_break: Optional[object] = None,
-    workers: int = 1,
 ) -> CPQResult:
     """One cold-cache CPQ execution with a total LRU budget of
     ``buffer_pages`` (split B/2 per tree, as in Section 4.3.3)."""
@@ -37,7 +36,6 @@ def run_cpq(
         tie_break=TieBreak.parse(tie_break) if tie_break is not None else None,
         buffer_pages=buffer_pages,
         reset_stats=True,
-        workers=workers,
     )
     return k_closest_pairs(tree_p, tree_q, request=request)
 

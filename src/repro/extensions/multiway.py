@@ -24,7 +24,6 @@ computed as one broadcast NumPy tensor.
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
@@ -259,21 +258,3 @@ def multiway_closest_tuples(
     stats.merge_io(*(tree.stats for tree in trees))
     return result
 
-
-def brute_force_tuples(
-    point_sets: Sequence[Sequence[Tuple[float, ...]]],
-    k: int,
-    graph: str = "chain",
-    metric: MinkowskiMetric = EUCLIDEAN,
-) -> List[float]:
-    """Reference implementation (tests/benchmarks only): the K smallest
-    aggregate distances by exhaustive enumeration."""
-    edges = _edges(len(point_sets), graph)
-    distances = []
-    for combo in itertools.product(*point_sets):
-        total = sum(
-            metric.distance(combo[a], combo[b]) for a, b in edges
-        )
-        distances.append(total)
-    distances.sort()
-    return distances[:k]

@@ -83,7 +83,7 @@ def minmaxdist(a: MBR, b: MBR, metric: MinkowskiMetric = EUCLIDEAN) -> float:
 
     For finite ``p`` this uses the same branch-free closed form as
     ``repro.geometry.vectorized.pairwise_minmaxdist`` with the identical
-    operation order, so the scalar and vectorized engine paths produce
+    operation order, so this scalar oracle and the kernel produce
     bit-identical values; the Chebyshev metric keeps the literal face
     enumeration (as does the kernel).
     """

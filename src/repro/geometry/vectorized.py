@@ -49,10 +49,9 @@ class KernelStats:
     """Process-wide tally of pairwise-kernel invocations.
 
     Tracks, per kernel name, how many times it ran and how many entry
-    pairs it evaluated.  The scalar engine path records under
-    ``*_scalar`` names so the two implementations can be compared from
-    one service metrics snapshot (``snapshot()["kernels"]``) and the
-    cost model recalibrated against real pair counts.
+    pairs it evaluated, exposed in the service metrics snapshot
+    (``snapshot()["kernels"]``) so the cost model can be recalibrated
+    against real pair counts.
     """
 
     def __init__(self) -> None:
@@ -79,8 +78,7 @@ class KernelStats:
             self._counts.clear()
 
 
-#: Shared tally used by all kernels in this module and by the scalar
-#: fallback helpers in ``repro.core.engine``.
+#: Shared tally used by all kernels in this module.
 KERNEL_STATS = KernelStats()
 
 
@@ -276,7 +274,7 @@ def pairwise_minmaxdist(
     For finite ``p`` this evaluates the branch-free closed form of the
     face-pair minimum (module docstring); for the Chebyshev metric it
     falls back to literal face enumeration.  ``repro.geometry.metrics``
-    mirrors the same arithmetic so the scalar engine path produces
+    mirrors the same arithmetic, so its scalar oracle produces
     bit-identical values for p in {1, 2, inf}; other p agree to the
     last ulp (NumPy's array power and CPython's scalar ``pow`` may
     round differently).
@@ -303,8 +301,8 @@ def batch_mindist(
     Unlike :func:`pairwise_mindist` (the ``(n, m)`` cross product of
     two sides), this evaluates row ``i`` of side A against row ``i`` of
     side B only -- the shape needed to order an already-formed list of
-    candidate pairs, e.g. the subtree-pair frontier of the parallel
-    executor.  Same arithmetic as the pairwise kernel, so values are
+    candidate pairs, e.g. the subtree-pair frontier of the shard
+    tier.  Same arithmetic as the pairwise kernel, so values are
     bit-identical to the corresponding matrix entries.
     """
     gap_ab = lo_a - hi_b

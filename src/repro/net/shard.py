@@ -1,26 +1,30 @@
 """Multi-process spatial shards with a self-healing scatter-gather.
 
-:class:`ShardManager` extends the partitioned executor of
-:mod:`repro.core.parallel` across process boundaries and makes it
-*persistent*: N worker processes are spawned once, each reopening both
-trees of a pair through its own read-only
+This is the one way to run a K-CPQ in parallel.  The paper's
+branch-and-bound traversals decompose naturally: expanding both roots
+one level yields a frontier of subtree pairs whose point-pair
+populations are *disjoint* (every point lives in exactly one leaf), so
+the frontier partitions the search space.  Each partition is an
+independent K-CPQ over a smaller (root_P, root_Q) pair; running the
+unmodified serial algorithm on each and merging the per-partition
+K-heaps answers the original query.
+
+:class:`ShardManager` spawns N worker processes once, each reopening
+both trees of a pair through its own read-only
 :class:`~repro.storage.store.FilePageStore` handles (private file
 descriptors, private buffer pools -- no shared seek state, no GIL
 contention with the edge).  Every K-CPQ is then answered by
 scatter-gather:
 
-1. **Partition** (coordinator): expand the root pair
-   ``partition_depth`` levels with the same candidate generation and
-   conservative pruning the serial algorithms use
-   (:func:`~repro.core.parallel.partition_tasks`), producing a
+1. **Partition** (coordinator): expand the root pair one level with
+   the same candidate generation and conservative pruning the serial
+   algorithms use (:func:`partition_tasks`), producing a
    MINMINDIST-ascending frontier of disjoint subtree pairs, plus the
    partition-time metric bound.
 2. **Scatter**: the sorted frontier is dealt round-robin (``i::n``,
    staying sorted) into per-shard *chunks*; each chunk is dispatched
    as an independent, idempotent attempt -- page-id pairs plus the
-   initial bound (the cross-process
-   :class:`~repro.core.parallel.SharedBound` publication, exactly like
-   the PR 4 process mode).
+   partition-time bound as every shard's initial bound.
 3. **Gather**: each shard runs the unmodified serial algorithm per
    task (stopping early once the chunk's ascending MINMINDIST exceeds
    its local bound) and ships back its K-heap pairs and counters in a
@@ -30,6 +34,17 @@ scatter-gather:
    tie-breaking makes the merged result a pure function of the offered
    set -- byte-identical to the serial engine, tie order included, at
    any shard count.
+
+Determinism
+-----------
+Every execution -- serial, any shard count, any chunking, coordinator
+recovery -- maintains ``t >= d_K`` (the true K-th smallest distance):
+the K-heap threshold is the K-th best of a *subset* of pairs, and the
+metric bounds are upper bounds on ``d_K`` by construction (Section
+3.8).  Pruning is strict (``> t``), so every pair with ``d <= d_K`` is
+offered somewhere; the canonical K-heap then retains exactly the K
+canonically-smallest pairs of the universe, regardless of discovery
+order.  See ``docs/ARCHITECTURE.md`` ("Sharded execution").
 
 Self-healing (the wire may lie; the answer may not)
 ---------------------------------------------------
@@ -86,11 +101,19 @@ import time
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
-from repro.core.engine import CPQContext, traced_traversal
-from repro.core.parallel import PartitionTask, partition_tasks
+import numpy as np
+
+from repro.core.engine import (
+    CPQContext,
+    CPQOptions,
+    generate_candidates,
+    traced_traversal,
+)
 from repro.core.result import CPQResult
+from repro.geometry.vectorized import batch_mindist_argsort
 from repro.net.frames import FrameError, decode_frame, encode_frame
 from repro.net.retry import HedgePolicy, RetryPolicy
+from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 from repro.service.breaker import CircuitBreaker
 from repro.storage.store import FilePageStore
@@ -196,6 +219,77 @@ def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
                       if read_latency is None else read_latency),
         use_mmap=use_mmap,
     )
+
+
+# ---------------------------------------------------------------------------
+# Partitioning
+# ---------------------------------------------------------------------------
+
+#: Candidate-generation policy per shardable algorithm -- the
+#: partitioner must prune (or not) exactly like the algorithm it feeds,
+#: so a partition is never dropped that the serial traversal would have
+#: descended.  CLIPPED is HEAP's policy plus range-clipped MINMINDIST;
+#: constrained queries suppress the bound updates inside
+#: :func:`~repro.core.engine.generate_candidates` via ``ctx.constrained``.
+_PARTITION_POLICY = {
+    "naive": dict(prune=False, update_bound=False),
+    "exh": dict(prune=True, update_bound=False),
+    "sim": dict(prune=True, update_bound=True),
+    "std": dict(prune=True, update_bound=True),
+    "heap": dict(prune=True, update_bound=True),
+    "clipped": dict(prune=True, update_bound=True, clip_mindist=True),
+}
+
+
+@dataclass
+class PartitionTask:
+    """One subtree pair of the partition frontier."""
+
+    node_p: Node
+    node_q: Node
+    minmin: float
+
+
+def partition_tasks(ctx: CPQContext, request) -> List[PartitionTask]:
+    """Expand the root pair one level into a sorted frontier.
+
+    Uses the same :func:`~repro.core.engine.generate_candidates`
+    machinery as the serial algorithms (same expansion sides, same
+    conservative pruning, tightening ``ctx.bound``), then orders the
+    frontier by elementwise MINMINDIST through the batched kernel --
+    closest work first, so each chunk's bound tightens fastest.
+    Mixed-height roots follow the request's height strategy; a
+    leaf/leaf root pair is the single task.
+    """
+    root_p, root_q = ctx.root_p, ctx.root_q
+    if root_p.is_leaf and root_q.is_leaf:
+        frontier = [(root_p, root_q)]
+    else:
+        options = CPQOptions(
+            height_strategy=request.height_strategy,
+            maxmax_k_pruning=request.maxmax_pruning,
+            **_PARTITION_POLICY[request.algorithm],
+        )
+        ctx.check_cancelled()
+        ctx.stats.node_pairs_visited += 1
+        candidates = generate_candidates(ctx, root_p, root_q, options)
+        frontier = [
+            candidates.child_nodes(ctx, position)
+            for position in range(len(candidates))
+        ]
+    if not frontier:
+        return []
+    lo_p = np.array([p.mbr().lo for p, _ in frontier], dtype=float)
+    hi_p = np.array([p.mbr().hi for p, _ in frontier], dtype=float)
+    lo_q = np.array([q.mbr().lo for _, q in frontier], dtype=float)
+    hi_q = np.array([q.mbr().hi for _, q in frontier], dtype=float)
+    order, values = batch_mindist_argsort(
+        lo_p, hi_p, lo_q, hi_q, ctx.metric
+    )
+    return [
+        PartitionTask(frontier[i][0], frontier[i][1], float(values[i]))
+        for i in map(int, order)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -775,7 +869,12 @@ class ShardManager:
         partitions and scatters entirely at the new generation.
 
         Returns a report: the new generations, which shards acked in
-        place and which had to be respawned.
+        place (``acked``), which were respawned (``respawned``), and
+        which are neither (``pending``): shards that were dead,
+        unreachable or silent and whose respawn was refused (still
+        backing off) or failed.  The three lists partition the shard
+        ids.  A pending shard is dead, so it is out of the scatter set
+        until the supervisor respawns it onto the new specs.
         """
         with self._lock:
             self.spec_p = spec_p
@@ -787,20 +886,18 @@ class ShardManager:
                                spec_q.metadata, self._coordinator_buffer,
                                0.0).open()
         waits: Dict[int, Tuple[_Shard, int, _CtlWait]] = {}
-        respawned: List[int] = []
+        restart: List[_Shard] = []
         for shard in self._shards:
             if not shard.alive:
-                if self._respawn(shard):
-                    respawned.append(shard.shard_id)
+                restart.append(shard)
                 continue
             ctl_id = next(self._ctl_ids)
             try:
-                wait = self._send_ctl(
+                waits[shard.shard_id] = (shard, ctl_id, self._send_ctl(
                     shard, ("reload", ctl_id, spec_p, spec_q), ctl_id
-                )
+                ))
             except (OSError, ValueError):  # pragma: no cover
-                continue
-            waits[shard.shard_id] = (shard, ctl_id, wait)
+                restart.append(shard)
         deadline = time.monotonic() + timeout_s
         acked: List[int] = []
         for shard_id, (shard, ctl_id, wait) in waits.items():
@@ -821,20 +918,26 @@ class ShardManager:
             if ok:
                 acked.append(shard_id)
             else:
-                # No ack: restart the shard; the fresh process opens
-                # the new specs, so the reload still lands.
-                process = shard.process
-                if process is not None:
-                    process.kill()
-                    process.join(1.0)
-                if self._respawn(shard):
-                    respawned.append(shard_id)
+                restart.append(shard)
+        # Dead, unreachable and silent shards restart instead: the
+        # fresh process opens the new specs, so the reload still lands.
+        respawned: List[int] = []
+        pending: List[int] = []
+        for shard in restart:
+            if shard.alive:
+                shard.process.kill()
+                shard.process.join(1.0)
+            if self._respawn(shard):
+                respawned.append(shard.shard_id)
+            else:
+                pending.append(shard.shard_id)
         self._count("reloads")
         return {
             "generation_p": spec_p.generation,
             "generation_q": spec_q.generation,
             "acked": sorted(acked),
             "respawned": sorted(respawned),
+            "pending": sorted(pending),
         }
 
     # -- collection --------------------------------------------------------
@@ -895,9 +998,9 @@ class ShardManager:
         The result is byte-identical (pairs and tie order) to
         ``k_closest_pairs(tree_p, tree_q, request=...)`` on the same
         trees, for every algorithm with ``supports_parallel`` -- see
-        the determinism argument in :mod:`repro.core.parallel` plus
-        the chunk-idempotence argument in the module docstring (one
-        accepted payload per chunk, no matter how many attempts).
+        the determinism and chunk-idempotence arguments in the module
+        docstring (one accepted payload per chunk, no matter how many
+        attempts).
         """
         if self._closed:
             raise RuntimeError("ShardManager is closed")

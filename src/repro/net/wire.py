@@ -102,10 +102,9 @@ def _require_version(obj: Dict[str, Any]) -> int:
 def _json_safe(value: Any) -> Any:
     """Deep-copy ``value`` into JSON-representable primitives.
 
-    ``stats.extra`` is an open dict (parallel counters, fallback
-    records, shard annotations); anything a subsystem stuffed in that
-    JSON cannot carry is replaced by its ``repr`` rather than failing
-    the whole response.
+    ``stats.extra`` is an open dict (shard annotations, RCP
+    counters); anything a subsystem stuffed in that JSON cannot carry
+    is replaced by its ``repr`` rather than failing the whole response.
     """
     if isinstance(value, dict):
         return {str(k): _json_safe(v) for k, v in value.items()}
@@ -136,8 +135,6 @@ def encode_request(request: Request) -> Dict[str, Any]:
             height_strategy=request.height_strategy,
             tie_break=_json_safe(request.tie_break),
             maxmax_pruning=request.maxmax_pruning,
-            use_vectorized=request.use_vectorized,
-            workers=request.workers,
         )
         # Constraint fields (wire v2) are emitted only when set, so an
         # unconstrained request's envelope stays v1-shaped apart from
@@ -236,8 +233,6 @@ def decode_request(obj: Dict[str, Any]) -> Request:
                                         "fix-at-root"),
                 tie_break=obj.get("tie_break"),
                 maxmax_pruning=bool(obj.get("maxmax_pruning", True)),
-                use_vectorized=bool(obj.get("use_vectorized", True)),
-                workers=int(obj.get("workers", 0)),
                 range=_decode_range_spec(obj.get("range")),
                 colors=_decode_color_spec(obj.get("colors")),
                 **common,
@@ -373,8 +368,6 @@ def _decode_plan(obj: Optional[Dict]) -> Optional[PlanDecision]:
         height_p=int(heights[0]),
         height_q=int(heights[1]),
         k=int(obj.get("k", 1)),
-        workers=int(obj.get("workers", 1)),
-        estimated_speedup=float(obj.get("estimated_speedup", 1.0)),
         range_selectivity=(
             float(obj["range_selectivity"])
             if obj.get("range_selectivity") is not None else None

@@ -233,7 +233,6 @@ def rcp_k_closest_pairs(ctx: CPQContext, request) -> CPQResult:
             height_strategy=request.height_strategy,
             tie_break=request.tie_break,
             maxmax_pruning=request.maxmax_pruning,
-            use_vectorized=request.use_vectorized,
             clip_mindist=True,
         )
         pairs = inner.kheap.sorted_pairs()

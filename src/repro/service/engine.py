@@ -74,7 +74,7 @@ from repro.query.cpql import ParsedQuery, parse_cpql
 from repro.query.knn import nearest_neighbors
 from repro.query.range_query import range_query
 from repro.rtree.tree import RTree
-from repro.service.breaker import CLOSED, CircuitBreaker
+from repro.service.breaker import CircuitBreaker
 from repro.service.cache import ResultCache, cache_key
 from repro.service.metrics import ServiceMetrics
 from repro.service.planner import PlanDecision, Planner
@@ -132,13 +132,6 @@ class CPQRequest:
     #: Anything ``TieBreak.parse`` accepts (criterion names, chains).
     tie_break: Optional[object] = None
     maxmax_pruning: bool = True
-    use_vectorized: bool = True
-    #: Intra-query worker threads.  ``0`` (the default) is *auto*: the
-    #: planner decides whether parallelism pays, within the service's
-    #: ``max_query_workers`` budget.  Any value >= 1 forces exactly
-    #: that many workers (still capped by ``max_query_workers``).
-    #: Execution-only -- does not participate in the cache key.
-    workers: int = 0
     #: Pin both trees' committed snapshots for the duration of the
     #: execution (the default).  A pinned query reads one consistent
     #: generation per tree even while writers commit batches; pages it
@@ -172,27 +165,22 @@ class CPQRequest:
                     self, "colors", ColorSpec(modulus=int(self.colors))
                 )
 
-    def to_query(self, algorithm: Optional[str] = None,
-                 workers: Optional[int] = None) -> core_api.CPQRequest:
+    def to_query(
+        self, algorithm: Optional[str] = None
+    ) -> core_api.CPQRequest:
         """The core query this request describes.
 
-        ``algorithm`` substitutes the planner's choice for ``"auto"``;
-        ``workers`` the resolved intra-query worker count for the
-        ``0`` = auto default.  ``reset_stats`` is always off: the
-        service accounts I/O itself and keeps buffers warm across
-        requests.
+        ``algorithm`` substitutes the planner's choice for ``"auto"``.
+        ``reset_stats`` is always off: the service accounts I/O itself
+        and keeps buffers warm across requests.
         """
-        if workers is None:
-            workers = max(1, self.workers)
         return core_api.CPQRequest(
             k=self.k,
             algorithm=algorithm if algorithm is not None else self.algorithm,
             height_strategy=self.height_strategy,
             tie_break=self.tie_break,
             maxmax_pruning=self.maxmax_pruning,
-            use_vectorized=self.use_vectorized,
             reset_stats=False,
-            workers=max(1, workers),
             range=self.range,
             colors=self.colors,
         )
@@ -374,12 +362,6 @@ class QueryService:
         ``heap`` / ``io.p`` / ``io.q``) and fold per-span rollups into
         the metrics snapshot.  ``None`` (the default) disables tracing
         with zero hot-path cost.
-    max_query_workers:
-        Budget for *intra-query* parallelism: the largest worker count
-        the partitioned executor (:mod:`repro.core.parallel`) may use
-        for one CPQ.  ``1`` (the default) keeps queries serial;
-        requests with ``workers=0`` (auto) let the planner decide
-        within this budget, explicit ``workers>=1`` are capped by it.
     shed_threshold:
         Queue depth at which admission starts *shedding*: submits
         arriving while ``qsize() >= shed_threshold`` resolve
@@ -415,7 +397,6 @@ class QueryService:
         planner: Optional[Planner] = None,
         metrics: Optional[ServiceMetrics] = None,
         tracer=None,
-        max_query_workers: int = 1,
         shed_threshold: Optional[int] = None,
         breaker_factory: Optional[Callable[[], CircuitBreaker]] = None,
         cpq_executor: Optional[Callable] = None,
@@ -424,8 +405,6 @@ class QueryService:
             raise ValueError("workers must be >= 1")
         if queue_size < 1:
             raise ValueError("queue_size must be >= 1")
-        if max_query_workers < 1:
-            raise ValueError("max_query_workers must be >= 1")
         if shed_threshold is not None and shed_threshold < 1:
             raise ValueError("shed_threshold must be >= 1")
         self.shed_threshold = shed_threshold
@@ -435,10 +414,6 @@ class QueryService:
         )
         self._cpq_executor = cpq_executor
         self.default_deadline_ms = default_deadline_ms
-        #: Cap on *intra-query* parallelism (the partitioned executor's
-        #: worker threads), independent of the ``workers`` pool that
-        #: runs whole queries.  1 keeps every query serial.
-        self.max_query_workers = max_query_workers
         self.planner = planner if planner is not None else Planner()
         self.metrics = metrics if metrics is not None else ServiceMetrics()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -718,24 +693,19 @@ class QueryService:
                         tree.read_node(tree.root_id)
             if request.kind != "cpq" or request.algorithm != "auto":
                 continue
-            budget = (self.max_query_workers
-                      if request.workers == 0 else 1)
-            key = (pair.name, request.k, budget, request.range)
+            key = (pair.name, request.k, request.range)
             if key not in plans:
                 shape_p, shape_q = self._shapes(pair)
                 plans[key] = self.planner.plan(
                     shape_p, shape_q, pair.buffer_pages(), k=request.k,
-                    tracer=self.tracer, workers=budget,
-                    range_spec=request.range,
+                    tracer=self.tracer, range_spec=request.range,
                 )
         handles = []
         for request in requests:
             preplanned = None
             if request.kind == "cpq" and request.algorithm == "auto":
-                budget = (self.max_query_workers
-                          if request.workers == 0 else 1)
                 preplanned = plans.get(
-                    (request.pair, request.k, budget, request.range)
+                    (request.pair, request.k, request.range)
                 )
             handles.append(self.submit(request, _preplanned=preplanned))
         return handles
@@ -1072,11 +1042,7 @@ class QueryService:
                 shape_p, shape_q = self._shapes(pair)
                 plan = self.planner.plan(
                     shape_p, shape_q, pair.buffer_pages(), k=request.k,
-                    tracer=self.tracer,
-                    workers=(self.max_query_workers
-                             if request.workers == 0 else 1),
-                    degraded=pair.breaker.state != CLOSED,
-                    range_spec=request.range,
+                    tracer=self.tracer, range_spec=request.range,
                 )
             algorithm = plan.algorithm
             self.metrics.record_planner_decision(algorithm)
@@ -1087,13 +1053,7 @@ class QueryService:
                 f"unknown algorithm {request.algorithm!r}; expected "
                 f"'auto' or one of {ALGORITHMS}"
             )
-        if request.workers > 0:
-            workers = min(request.workers, self.max_query_workers)
-        elif plan is not None:
-            workers = min(plan.workers, self.max_query_workers)
-        else:
-            workers = 1
-        core_request = request.to_query(algorithm, workers=workers)
+        core_request = request.to_query(algorithm)
         probe = self._deadline_probe(deadline)
         result = None
         if self._cpq_executor is not None:
@@ -1109,8 +1069,6 @@ class QueryService:
                 cancel_check=probe,
                 tracer=self.tracer,
             )
-        if result.stats.extra.get("parallel_fallback"):
-            self.metrics.record_parallel_fallback()
         return result, algorithm, plan
 
     def _run_knn(

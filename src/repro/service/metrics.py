@@ -63,7 +63,6 @@ class ServiceMetrics:
         self._shed = 0
         self._breaker_rejections = 0
         self._stale_served = 0
-        self._parallel_fallbacks = 0
         self._partial_responses = 0
         #: Storage faults observed by executions: error type -> count.
         self._storage_faults: Dict[str, int] = {}
@@ -142,11 +141,6 @@ class ServiceMetrics:
             self._storage_faults[error_type] = (
                 self._storage_faults.get(error_type, 0) + 1
             )
-
-    def record_parallel_fallback(self) -> None:
-        """One CPQ degraded from the partitioned executor to serial."""
-        with self._lock:
-            self._parallel_fallbacks += 1
 
     def record_partial_response(self) -> None:
         """One sharded CPQ answered from surviving shards only."""
@@ -273,13 +267,12 @@ class ServiceMetrics:
                     "shed": self._shed,
                     "breaker_rejections": self._breaker_rejections,
                     "stale_served": self._stale_served,
-                    "parallel_fallbacks": self._parallel_fallbacks,
                     "partial_responses": self._partial_responses,
                     "storage_faults": dict(self._storage_faults),
                     "net": dict(self._net_events),
                 },
                 # Process-wide pairwise-kernel tallies (calls and entry
-                # pairs per kernel, scalar path under *_scalar).  These
+                # pairs per kernel).  These
                 # are the observed pair counts the cost model's CPU-side
                 # estimates (repro.analysis.cost_model.estimate_cpu_ms)
                 # are recalibrated against.

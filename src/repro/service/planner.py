@@ -41,7 +41,6 @@ from repro.analysis.cost_model import (
     TreeShape,
     estimate_closest_pair_distance,
     estimate_cpq_accesses,
-    estimate_parallel_speedup,
     estimate_range_selectivity,
     grid_occupancy_cv,
     recommend_index_kind,
@@ -71,13 +70,6 @@ class PlanDecision:
     height_p: int
     height_q: int
     k: int
-    #: Intra-query worker threads the executor should use (1 = serial).
-    #: Only > 1 when the caller offered a worker budget AND the
-    #: predicted traversal is large enough that the partitioned
-    #: executor's serial setup is amortised.
-    workers: int = 1
-    #: Predicted wall-clock speedup at ``workers`` (1.0 when serial).
-    estimated_speedup: float = 1.0
     #: Estimated fraction of the workspace the query window covers
     #: (``None`` for unconstrained plans).
     range_selectivity: Optional[float] = None
@@ -91,8 +83,6 @@ class PlanDecision:
             "buffer_pages": self.buffer_pages,
             "heights": [self.height_p, self.height_q],
             "k": self.k,
-            "workers": self.workers,
-            "estimated_speedup": round(self.estimated_speedup, 3),
         }
         if self.range_selectivity is not None:
             out["range_selectivity"] = round(self.range_selectivity, 4)
@@ -107,13 +97,10 @@ class Planner:
     """
 
     def __init__(self, sim_threshold: float = 24.0,
-                 parallel_speedup_threshold: float = 1.5,
                  rcp_selectivity_threshold: float = 0.10,
                  grid_skew_threshold: float = DEFAULT_GRID_SKEW_THRESHOLD):
         if sim_threshold < 0:
             raise ValueError("sim_threshold must be >= 0")
-        if parallel_speedup_threshold < 1.0:
-            raise ValueError("parallel_speedup_threshold must be >= 1.0")
         if not 0.0 <= rcp_selectivity_threshold <= 1.0:
             raise ValueError(
                 "rcp_selectivity_threshold must lie in [0, 1]"
@@ -121,9 +108,6 @@ class Planner:
         if grid_skew_threshold <= 0.0:
             raise ValueError("grid_skew_threshold must be > 0")
         self.sim_threshold = sim_threshold
-        #: Minimum predicted speedup before the planner recommends
-        #: spending worker threads on one query.
-        self.parallel_speedup_threshold = parallel_speedup_threshold
         #: Ranged plans: windows covering at most this workspace
         #: fraction go to the memoized RCP candidate structure (small
         #: windows produce small, highly reusable candidate lists);
@@ -177,8 +161,6 @@ class Planner:
         buffer_pages: int,
         k: int = 1,
         tracer=NULL_TRACER,
-        workers: int = 1,
-        degraded: bool = False,
         range_spec=None,
     ) -> PlanDecision:
         """Pick an algorithm for one K-CPQ against a shaped tree pair.
@@ -196,20 +178,10 @@ class Planner:
         k:
             Requested result cardinality; scales the predicted reach
             by ``sqrt(k)`` (uniform pair-population argument).
-        workers:
-            Worker-thread budget the caller is willing to spend on
-            this one query (the service's ``max_query_workers``).  The
-            decision's ``workers`` field is 1 unless the predicted
-            speedup (:func:`estimate_parallel_speedup`) clears
-            ``parallel_speedup_threshold``.
         tracer:
             Optional :class:`repro.obs.Tracer`; when enabled, the
             decision is recorded as a ``plan`` span carrying the full
             evidence (:meth:`PlanDecision.as_dict`).
-        degraded:
-            The pair's storage is suspect (its circuit breaker is not
-            closed): cap the plan at one worker so a struggling device
-            is not hit by a fan-out of parallel readers.
         range_spec:
             Optional :class:`repro.core.constraints.RangeSpec`.  Ranged
             plans choose between the specialized range algorithms by
@@ -226,18 +198,14 @@ class Planner:
             (``estimated_accesses`` in disk accesses,
             ``estimated_distance`` in workspace units).
         """
-        if degraded:
-            workers = 1
         if not tracer.enabled:
             decision = self._decide(shape_p, shape_q, buffer_pages, k,
-                                    workers, range_spec)
+                                    range_spec)
         else:
             with tracer.span("plan") as span:
                 decision = self._decide(shape_p, shape_q, buffer_pages, k,
-                                        workers, range_spec)
+                                        range_spec)
                 span.annotate(**decision.as_dict())
-                if degraded:
-                    span.annotate(degraded=True)
         spec = ALGORITHM_REGISTRY[decision.algorithm]
         # Unconstrained plans stay within the paper's plannable set;
         # ranged plans may pick the specialized range algorithms.
@@ -252,7 +220,6 @@ class Planner:
         shape_q: Optional[TreeShape],
         buffer_pages: int,
         k: int,
-        workers: int = 1,
         range_spec=None,
     ) -> PlanDecision:
         if shape_p is None or shape_q is None:
@@ -288,7 +255,7 @@ class Planner:
         accesses = estimate_cpq_accesses(shape_p, shape_q, t=reach)
         if range_spec is not None:
             return self._decide_ranged(
-                shape_p, shape_q, buffer_pages, k, workers,
+                shape_p, shape_q, buffer_pages, k,
                 range_spec, distance, accesses,
             )
         if accesses <= self.sim_threshold:
@@ -312,16 +279,6 @@ class Planner:
                 f"{buffer_pages}-page buffer; global best-first "
                 f"order minimises disk I/O"
             )
-        chosen_workers, speedup = 1, 1.0
-        if workers > 1:
-            speedup = estimate_parallel_speedup(accesses, workers)
-            if speedup >= self.parallel_speedup_threshold:
-                chosen_workers = workers
-                reason += (
-                    f"; ~{speedup:.1f}x predicted from {workers} workers"
-                )
-            else:
-                speedup = 1.0
         return PlanDecision(
             algorithm=algorithm,
             reason=reason,
@@ -331,8 +288,6 @@ class Planner:
             height_p=height_p,
             height_q=height_q,
             k=k,
-            workers=chosen_workers,
-            estimated_speedup=speedup,
         )
 
     def _decide_ranged(
@@ -341,7 +296,6 @@ class Planner:
         shape_q: TreeShape,
         buffer_pages: int,
         k: int,
-        workers: int,
         range_spec,
         distance: float,
         accesses: float,
@@ -372,16 +326,6 @@ class Planner:
                 f"(> {self.rcp_selectivity_threshold:.0%}); clipped "
                 f"best-first traversal without memoization"
             )
-        chosen_workers, speedup = 1, 1.0
-        if workers > 1 and ALGORITHM_REGISTRY[algorithm].supports_parallel:
-            speedup = estimate_parallel_speedup(accesses, workers)
-            if speedup >= self.parallel_speedup_threshold:
-                chosen_workers = workers
-                reason += (
-                    f"; ~{speedup:.1f}x predicted from {workers} workers"
-                )
-            else:
-                speedup = 1.0
         return PlanDecision(
             algorithm=algorithm,
             reason=reason,
@@ -391,7 +335,5 @@ class Planner:
             height_p=shape_p.height,
             height_q=shape_q.height,
             k=k,
-            workers=chosen_workers,
-            estimated_speedup=speedup,
             range_selectivity=selectivity,
         )

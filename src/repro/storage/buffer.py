@@ -85,19 +85,8 @@ class LRUBuffer:
         #: I/O to the reading thread's trace span; ``None`` (the
         #: default) costs one predicate test per read.
         self.on_read: Optional[Callable[[int, bool], None]] = None
-        #: Lock acquisitions on the read path that found the lock held
-        #: by another thread and had to wait.  A cheap contention gauge
-        #: for the parallel executor and service dashboards; updated
-        #: racily (observability, not accounting).
-        self.contentions = 0
         self._pages: "OrderedDict[int, bytes]" = OrderedDict()
         self._lock = threading.RLock()
-
-    def _acquire_counted(self) -> None:
-        if self._lock.acquire(blocking=False):
-            return
-        self.contentions += 1
-        self._lock.acquire()
 
     def read(self, page_id: int, loader: Callable[[int], bytes]) -> bytes:
         """Return the page, loading it via ``loader`` on a miss.
@@ -112,23 +101,17 @@ class LRUBuffer:
         counted (only ``read_retries`` / ``read_failures`` moved), so
         a later retry of the same read starts clean.
         """
-        self._acquire_counted()
-        try:
+        with self._lock:
             data = self._pages.get(page_id)
             if data is not None:
                 self._touch(page_id)
                 self.stats.buffer_hits += 1
                 hit = True
-        finally:
-            self._lock.release()
         if data is None:
             data = self._load_retrying(page_id, loader)
-            self._acquire_counted()
-            try:
+            with self._lock:
                 self.stats.disk_reads += 1
                 self._admit(page_id, data)
-            finally:
-                self._lock.release()
             hit = False
         if self.on_read is not None:
             self.on_read(page_id, hit)

@@ -143,10 +143,9 @@ class FilePageStore:
         self.readonly = readonly
         self.use_mmap = use_mmap
         if readonly:
-            # Per-worker handles of the parallel executor's process
-            # mode: each worker opens its own file descriptor on the
-            # shared page file, so concurrent readers never share seek
-            # state.
+            # Per-process handles of the shard tier: each shard opens
+            # its own file descriptor on the shared page file, so
+            # concurrent readers never share seek state.
             mode = "rb"
         else:
             mode = "r+b" if os.path.exists(path) else "w+b"

@@ -5,9 +5,11 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from repro.geometry.minkowski import EUCLIDEAN
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree, RTreeConfig
 from repro.storage.page import PageLayout
@@ -29,6 +31,47 @@ def brute_force_pairs(points_p, points_q, k):
         math.dist(p, q) for p in points_p for q in points_q
     )
     return distances[:k]
+
+
+def brute_force_tuples(point_sets, k, graph="chain", metric=EUCLIDEAN):
+    """Ground truth for multi-way closest tuples: the k smallest
+    aggregate distances over every tuple of ``point_sets``.
+
+    Per-edge distance matrices come from the scalar ``metric``; the
+    aggregate over all tuples is a broadcast sum, one slice per point of
+    the first set (so memory stays at one slice), and each slice keeps
+    only its k smallest values.
+    """
+    m = len(point_sets)
+    if graph == "chain":
+        edges = [(i, i + 1) for i in range(m - 1)]
+    else:
+        edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    sizes = [len(points) for points in point_sets]
+    matrices = {
+        (a, b): np.array([
+            [metric.distance(x, y) for y in point_sets[b]]
+            for x in point_sets[a]
+        ])
+        for a, b in edges
+    }
+    best = []
+    for i in range(sizes[0]):
+        total = np.zeros(sizes[1:])
+        for a, b in edges:
+            # Axis j of the slice indexes point set j + 1.
+            shape = [1] * (m - 1)
+            shape[b - 1] = sizes[b]
+            if a == 0:
+                term = matrices[a, b][i]
+            else:
+                shape[a - 1] = sizes[a]
+                term = matrices[a, b]
+            total = total + term.reshape(shape)
+        flat = total.ravel()
+        keep = min(k, flat.size)
+        best.append(np.partition(flat, keep - 1)[:keep])
+    return sorted(np.concatenate(best).tolist())[:k]
 
 
 def random_points(n, rng, xspan=(0.0, 1.0), yspan=(0.0, 1.0)):

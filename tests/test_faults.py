@@ -2,9 +2,9 @@
 
 Exercises the whole resilience stack end to end: the deterministic
 fault-injecting page store, the buffer pool's bounded retry, checksum
-detection and healing of corrupt pages, graceful degradation of the
-parallel executor, and the service layer's circuit breaker, load
-shedding and stale degraded serving (see docs/RESILIENCE.md).
+detection and healing of corrupt pages, and the service layer's
+circuit breaker, load shedding and stale degraded serving (see
+docs/RESILIENCE.md).
 """
 
 from __future__ import annotations
@@ -318,51 +318,6 @@ class TestFaultedQueriesMatchBaseline:
 
 
 # ---------------------------------------------------------------------------
-# Parallel executor degradation
-# ---------------------------------------------------------------------------
-
-class TestParallelFallback:
-    def test_worker_failure_falls_back_to_serial(
-        self, tree_pair, monkeypatch
-    ):
-        tree_p, tree_q = tree_pair
-        baseline = run_cpq(tree_p, tree_q, 6, "heap")
-
-        def explode(*_args, **_kwargs):
-            raise RuntimeError("worker pool down")
-
-        monkeypatch.setattr(
-            core_api, "parallel_k_closest_pairs", explode
-        )
-        result = k_closest_pairs(
-            tree_p, tree_q,
-            request=core_api.CPQRequest(k=6, algorithm="heap", workers=4),
-        )
-        assert result.pairs == baseline.pairs
-        fallback = result.stats.extra["parallel_fallback"]
-        assert "RuntimeError" in fallback["error"]
-        assert fallback["workers_requested"] == 4
-
-    def test_corruption_is_not_degraded_around(
-        self, tree_pair, monkeypatch
-    ):
-        tree_p, tree_q = tree_pair
-
-        def corrupt(*_args, **_kwargs):
-            raise PageCorruptionError("bad page", page_id=1)
-
-        monkeypatch.setattr(
-            core_api, "parallel_k_closest_pairs", corrupt
-        )
-        with pytest.raises(PageCorruptionError):
-            k_closest_pairs(
-                tree_p, tree_q,
-                request=core_api.CPQRequest(k=2, algorithm="heap",
-                                            workers=2),
-            )
-
-
-# ---------------------------------------------------------------------------
 # Circuit breaker
 # ---------------------------------------------------------------------------
 
@@ -639,28 +594,4 @@ class TestServiceResilience:
                     == response.read_retries)
         finally:
             unwrap_tree_store(tree_p)
-            service.close()
-
-    def test_parallel_fallback_counted_by_service(
-        self, tree_pair, monkeypatch
-    ):
-        tree_p, tree_q = tree_pair
-
-        def explode(*_args, **_kwargs):
-            raise RuntimeError("pool down")
-
-        monkeypatch.setattr(
-            core_api, "parallel_k_closest_pairs", explode
-        )
-        service = QueryService(workers=1, max_query_workers=4)
-        service.register_pair("pair", tree_p, tree_q)
-        try:
-            response = service.execute(
-                CPQRequest(pair="pair", k=4, algorithm="heap",
-                           workers=4, use_cache=False)
-            )
-            assert response.status == STATUS_OK
-            snapshot = service.snapshot()
-            assert snapshot["resilience"]["parallel_fallbacks"] == 1
-        finally:
             service.close()

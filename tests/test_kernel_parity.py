@@ -1,23 +1,14 @@
-"""The scalar and vectorised expansion paths must agree *bitwise*.
+"""The scalar oracle and the vectorised kernels must agree *bitwise*.
 
-``CPQOptions.use_vectorized`` promises that switching implementations
-never changes a result: the scalar helpers in
-:mod:`repro.geometry.metrics` mirror the NumPy kernels of
-:mod:`repro.geometry.vectorized` operation for operation (same
-accumulation order, same parenthesisation), so their outputs are equal
-as bit patterns, not merely to a tolerance.  These tests pin that
-contract at two levels:
-
-* kernel level -- Hypothesis-generated rectangle/point batches in
-  d = 2 and d = 3 under Euclidean, Manhattan and Chebyshev metrics,
-  compared with ``==``.  For a *general* Minkowski ``p`` the base
-  power operation itself differs between NumPy's array ``**`` and
-  CPython's scalar ``pow`` by up to 1 ulp, so there the contract is
-  ULP-level closeness, not bit equality;
-* query level -- every algorithm on a SEQUOIA-like sample returns
-  byte-identical ``CPQResult.pairs`` (distances, points, oids, i.e.
-  tie-break order too) and identical work counters with the flag on
-  and off.
+The scalar helpers in :mod:`repro.geometry.metrics` mirror the NumPy
+kernels of :mod:`repro.geometry.vectorized` operation for operation
+(same accumulation order, same parenthesisation), so their outputs are
+equal as bit patterns, not merely to a tolerance.  The tests here use
+Hypothesis-generated rectangle/point batches in d = 2 and d = 3 under
+Euclidean, Manhattan and Chebyshev metrics, compared with ``==``.  For
+a *general* Minkowski ``p`` the base power operation itself differs
+between NumPy's array ``**`` and CPython's scalar ``pow`` by up to 1
+ulp, so there the contract is ULP-level closeness, not bit equality.
 """
 
 import numpy as np
@@ -25,10 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import CPQRequest, k_closest_pairs
-from repro.core.api import CORE_ALGORITHMS as ALGORITHMS
-from repro.datasets import overlapping_workspace, sequoia_like
-from repro.datasets.workspace import UNIT_WORKSPACE
 from repro.geometry.mbr import MBR
 from repro.geometry.metrics import maxdist, mindist, minmaxdist
 from repro.geometry.minkowski import (
@@ -38,13 +25,11 @@ from repro.geometry.minkowski import (
     MinkowskiMetric,
 )
 from repro.geometry.vectorized import (
-    KERNEL_STATS,
     pairwise_maxdist,
     pairwise_mindist,
     pairwise_minmaxdist,
     pairwise_point_distances,
 )
-from repro.rtree.bulk import bulk_load
 
 coord = st.floats(
     min_value=-20, max_value=20, allow_nan=False, allow_infinity=False
@@ -130,65 +115,3 @@ def test_point_kernel_bitwise_equal(batches, metric):
             assert_matches(
                 matrix[i, j], metric.distance(tuple(a), tuple(b)), metric
             )
-
-
-# ---------------------------------------------------------------------------
-# End-to-end: whole queries are identical with the flag on and off.
-# ---------------------------------------------------------------------------
-
-@pytest.fixture(scope="module")
-def sequoia_trees():
-    workspace_q = overlapping_workspace(UNIT_WORKSPACE, 0.5)
-    pts_p = sequoia_like(800, UNIT_WORKSPACE, seed=7)
-    pts_q = sequoia_like(800, workspace_q, seed=8)
-    return bulk_load(pts_p), bulk_load(pts_q)
-
-
-@pytest.mark.parametrize("algorithm", ALGORITHMS)
-@pytest.mark.parametrize("k", [1, 10])
-def test_query_parity_scalar_vs_vectorized(sequoia_trees, algorithm, k):
-    tree_p, tree_q = sequoia_trees
-    results = {}
-    for use_vectorized in (True, False):
-        request = CPQRequest(
-            k=k, algorithm=algorithm, use_vectorized=use_vectorized
-        )
-        results[use_vectorized] = k_closest_pairs(
-            tree_p, tree_q, request=request
-        )
-    fast, slow = results[True], results[False]
-    # Byte-identical pairs: same distances (as bit patterns), same
-    # points, same oids, same (tie-break) order.
-    assert [
-        (p.distance, p.p, p.q, p.p_oid, p.q_oid) for p in fast.pairs
-    ] == [
-        (p.distance, p.p, p.q, p.p_oid, p.q_oid) for p in slow.pairs
-    ]
-    # And the same work: identical pruning means identical traversal.
-    assert fast.stats.node_pairs_visited == slow.stats.node_pairs_visited
-    assert fast.stats.disk_accesses == slow.stats.disk_accesses
-    assert (fast.stats.distance_computations
-            == slow.stats.distance_computations)
-
-
-def test_scalar_path_records_scalar_kernels(sequoia_trees):
-    tree_p, tree_q = sequoia_trees
-    KERNEL_STATS.reset()
-    k_closest_pairs(
-        tree_p, tree_q,
-        request=CPQRequest(k=4, algorithm="heap", use_vectorized=False),
-    )
-    tallies = KERNEL_STATS.snapshot()
-    assert tallies["points_scalar"]["pairs"] > 0
-    assert tallies["minmin_scalar"]["pairs"] > 0
-    assert "points" not in tallies
-    KERNEL_STATS.reset()
-    k_closest_pairs(
-        tree_p, tree_q,
-        request=CPQRequest(k=4, algorithm="heap", use_vectorized=True),
-    )
-    tallies = KERNEL_STATS.snapshot()
-    assert tallies["points"]["pairs"] > 0
-    assert tallies["minmin"]["pairs"] > 0
-    assert "points_scalar" not in tallies
-    KERNEL_STATS.reset()

@@ -1,19 +1,18 @@
 """Tests for multi-way closest tuples (the future-work extension)."""
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.extensions.multiway import (
-    brute_force_tuples,
-    multiway_closest_tuples,
-)
-from repro.geometry.minkowski import MANHATTAN
+from repro.extensions.multiway import multiway_closest_tuples
+from repro.geometry.minkowski import CHEBYSHEV, EUCLIDEAN, MANHATTAN
 from repro.rtree.bulk import bulk_load
 from repro.rtree.tree import RTree, RTreeConfig
 from repro.storage.page import PageLayout
+from tests.conftest import brute_force_tuples
 
 coord = st.floats(min_value=0, max_value=10, allow_nan=False)
 small_sets = st.lists(st.tuples(coord, coord), min_size=1, max_size=8)
@@ -89,6 +88,29 @@ class TestCorrectness:
         )
         expected = brute_force_tuples(sets, 2, "chain", MANHATTAN)
         assert result.distances() == pytest.approx(expected, abs=1e-9)
+
+
+class TestOracle:
+    @pytest.mark.parametrize("metric", [EUCLIDEAN, MANHATTAN, CHEBYSHEV])
+    @pytest.mark.parametrize("graph", ["chain", "clique"])
+    @given(st.lists(small_sets, min_size=2, max_size=4),
+           st.integers(1, 6))
+    @settings(max_examples=15)
+    def test_broadcast_oracle_equals_enumeration(
+        self, metric, graph, sets, k
+    ):
+        """The broadcast oracle adds the same edge distances in the
+        same order as enumerating every tuple, so results are equal."""
+        m = len(sets)
+        if graph == "chain":
+            edges = [(i, i + 1) for i in range(m - 1)]
+        else:
+            edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
+        enumerated = sorted(
+            sum(metric.distance(combo[a], combo[b]) for a, b in edges)
+            for combo in itertools.product(*sets)
+        )[:k]
+        assert brute_force_tuples(sets, k, graph, metric) == enumerated
 
 
 class TestResultShape:

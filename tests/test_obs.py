@@ -367,8 +367,7 @@ class TestServiceTracing:
 GOLDEN_EXPLAIN = """\
 request  kind=cpq k=N algorithm=HEAP pairs=N
 |-- plan  algorithm=heap reason=R estimated_accesses=N \
-estimated_distance=N buffer_pages=N heights="[3, 3]" k=N workers=N \
-estimated_speedup=N
+estimated_distance=N buffer_pages=N heights="[3, 3]" k=N
 `-- traverse  algorithm=HEAP k=N tie_break=TieBreak(T1) \
 height_strategy=fix-at-root candidates_generated=N \
 pairs_pruned_minmin=N node_pairs_visited=N distance_computations=N

@@ -11,8 +11,8 @@ qualifying pair or leaked a non-qualifying one.
 
 Covered here: every ``supports_range`` algorithm on SEQUOIA-like
 clustered data and on the adversarial all-equal-distance set (where
-tie order is the whole answer), in process, under the parallel
-executor, and over a real socket at 2 shards; the RCP candidate
+tie order is the whole answer), in process and over a real socket
+at 2 shards; the RCP candidate
 structure's exact/containment reuse; and the service/wire behaviour
 (``bad_request`` status, HTTP 400, v2 envelope round trip).
 """
@@ -125,39 +125,6 @@ class TestRangeParity:
             ),
         )
         assert result.pairs == []
-
-    def test_scalar_path_matches_vectorized(self, sequoia_trees):
-        tree_p, tree_q = sequoia_trees
-        vec, scalar = (
-            k_closest_pairs(
-                tree_p,
-                tree_q,
-                request=CPQRequest(
-                    k=10, algorithm="clipped", range=WINDOW,
-                    use_vectorized=use_vectorized,
-                ),
-            )
-            for use_vectorized in (True, False)
-        )
-        assert vec.pairs == scalar.pairs
-
-    @pytest.mark.parametrize("algorithm", ["heap", "clipped"])
-    def test_parallel_workers_byte_parity(self, sequoia_trees, algorithm):
-        tree_p, tree_q = sequoia_trees
-        serial = k_closest_pairs(
-            tree_p,
-            tree_q,
-            request=CPQRequest(k=10, algorithm=algorithm, range=WINDOW),
-        )
-        parallel = k_closest_pairs(
-            tree_p,
-            tree_q,
-            request=CPQRequest(
-                k=10, algorithm=algorithm, range=WINDOW, workers=3,
-            ),
-        )
-        assert parallel.stats.extra["parallel"]["workers"] == 3
-        assert parallel.pairs == serial.pairs
 
     @given(
         st.integers(0, 2**32 - 1),
@@ -366,7 +333,8 @@ class TestServiceAndSocket:
                     colors=colors,
                 ),
             )
-            for algorithm in ("naive", "exh", "sim", "std", "heap")
+            for algorithm in ("naive", "exh", "sim", "std", "heap",
+                              "clipped")
         }
         expected = reference_pairs(tree_p, tree_q, 8,
                                    range_spec=window, colors=colors)

@@ -94,7 +94,6 @@ class TestCacheKey:
     def test_excludes_execution_environment(self):
         base = CPQRequest(k=5)
         for variant in (
-            CPQRequest(k=5, use_vectorized=False),
             CPQRequest(k=5, buffer_pages=64),
             CPQRequest(k=5, deadline_ms=100.0),
             CPQRequest(k=5, trace=True),

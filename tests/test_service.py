@@ -537,65 +537,6 @@ class TestSubmitBatch:
             assert "unknown pair" in bad.error
 
 
-class TestIntraQueryParallelism:
-    def test_explicit_workers_capped_by_budget(self, service_trees):
-        __, __, tree_p, tree_q = service_trees
-        with make_service(
-            tree_p, tree_q, workers=1, max_query_workers=2,
-        ) as service:
-            response = service.execute(CPQRequest(
-                pair="pair", k=5, algorithm="heap", workers=8,
-                use_cache=False,
-            ))
-            assert response.status == STATUS_OK
-            parallel = response.result.stats.extra["parallel"]
-            assert parallel["workers"] == 2
-
-    def test_default_budget_keeps_queries_serial(self, service_trees):
-        __, __, tree_p, tree_q = service_trees
-        with make_service(tree_p, tree_q, workers=1) as service:
-            response = service.execute(CPQRequest(
-                pair="pair", k=5, algorithm="heap", workers=8,
-                use_cache=False,
-            ))
-            assert response.status == STATUS_OK
-            assert "parallel" not in response.result.stats.extra
-
-    def test_auto_workers_decided_by_planner(self, service_trees):
-        __, __, tree_p, tree_q = service_trees
-        eager = Planner(parallel_speedup_threshold=1.0)
-        with make_service(
-            tree_p, tree_q, workers=1, max_query_workers=4,
-            planner=eager,
-        ) as service:
-            response = service.execute(CPQRequest(
-                pair="pair", k=5, use_cache=False,
-            ))
-            assert response.status == STATUS_OK
-            assert response.plan.workers == 4
-            assert response.plan.estimated_speedup > 1.0
-            if response.algorithm == "heap":
-                parallel = response.result.stats.extra["parallel"]
-                assert parallel["workers"] == 4
-
-    def test_parallel_result_matches_cached_serial(self, service_trees):
-        """workers is execution-only: a parallel run and a serial run
-        share a cache entry because the results are identical."""
-        __, __, tree_p, tree_q = service_trees
-        with make_service(
-            tree_p, tree_q, workers=1, max_query_workers=4,
-        ) as service:
-            first = service.execute(CPQRequest(
-                pair="pair", k=6, algorithm="heap", workers=4,
-            ))
-            second = service.execute(CPQRequest(
-                pair="pair", k=6, algorithm="heap", workers=1,
-            ))
-            assert not first.cached
-            assert second.cached
-            assert second.result is first.result
-
-
 class TestExtensionAlgorithmsViaService:
     def test_semi_multiway_incremental_execute_and_cache(
         self, service_trees

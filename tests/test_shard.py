@@ -2,12 +2,12 @@
 
 :class:`~repro.net.shard.ShardManager` must return exactly the pairs
 -- values AND tie order -- of the serial engine at every shard count,
-for every shardable algorithm, including the adversarial
-all-equal-distance data of ``tests/test_parallel.py`` where tie order
-is the whole answer.  The failure half of the contract: lost shards
-either recover exactly (coordinator re-execution) or are flagged
-partial, breakers gate sick shards out of the scatter set, dead
-processes respawn, and nothing here may leak a half-open probe slot.
+for every shardable algorithm, including adversarial all-equal and
+coincident-grid data where tie order is the whole answer.  The
+failure half of the contract: lost shards either recover exactly
+(coordinator re-execution) or are flagged partial, breakers gate sick
+shards out of the scatter set, dead processes respawn, and nothing
+here may leak a half-open probe slot.
 """
 
 import random
@@ -55,8 +55,8 @@ def clustered(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def adversarial(tmp_path_factory):
-    """Every candidate pair at distance 1.0: the all-equal dataset of
-    ``tests/test_parallel.py``, persisted so shards can reopen it."""
+    """Every candidate pair at distance 1.0, persisted so shards can
+    reopen it."""
     tmp = tmp_path_factory.mktemp("shard-ties")
     tree_p = _file_tree(tmp, "p.pages", [(0.0, 0.0)] * 60)
     tree_q = _file_tree(tmp, "q.pages", [(1.0, 0.0)] * 60)
@@ -66,6 +66,24 @@ def adversarial(tmp_path_factory):
             request=CPQRequest(k=25, algorithm=algorithm),
         )
         for algorithm in ALGORITHMS
+    }
+    return tree_spec(tree_p), tree_spec(tree_q), serial
+
+
+@pytest.fixture(scope="module")
+def coincident(tmp_path_factory):
+    """An 8 x 8 grid joined with itself: 64 pairs at distance 0, more
+    than K = 40, so tie order decides every rank."""
+    tmp = tmp_path_factory.mktemp("shard-grid")
+    grid = [(float(i), float(j)) for i in range(8) for j in range(8)]
+    tree_p = _file_tree(tmp, "p.pages", grid)
+    tree_q = _file_tree(tmp, "q.pages", grid)
+    serial = {
+        algorithm: k_closest_pairs(
+            tree_p, tree_q,
+            request=CPQRequest(k=40, algorithm=algorithm),
+        )
+        for algorithm in ("heap", "std")
     }
     return tree_spec(tree_p), tree_spec(tree_q), serial
 
@@ -97,6 +115,16 @@ class TestShardParity:
                 assert sharded.distances() == [1.0] * 25
                 # Tie order is the whole answer here.
                 assert sharded.pairs == serial[algorithm].pairs
+
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_coincident_grids(self, coincident, shards):
+        spec_p, spec_q, serial = coincident
+        with ShardManager(spec_p, spec_q, shards=shards) as manager:
+            for algorithm, expected in serial.items():
+                sharded = manager.execute(
+                    CPQRequest(k=40, algorithm=algorithm)
+                )
+                assert sharded.pairs == expected.pairs
 
     def test_shard_io_accounted(self, clustered):
         spec_p, spec_q, serial = clustered

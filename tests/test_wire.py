@@ -45,8 +45,6 @@ class TestRequestRoundTrip:
             height_strategy="fix-at-leaves",
             tie_break="distance,p_oid,q_oid",
             maxmax_pruning=False,
-            use_vectorized=False,
-            workers=4,
         )
         decoded = _roundtrip_request(request)
         assert decoded == request
@@ -143,7 +141,6 @@ class TestResponseRoundTrip:
                 algorithm="heap", reason="buffer fits both trees",
                 estimated_accesses=120.5, estimated_distance=0.004,
                 buffer_pages=64, height_p=3, height_q=2, k=3,
-                workers=2, estimated_speedup=1.8,
             ),
             cached=True,
             stale=True,

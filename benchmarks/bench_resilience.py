@@ -5,9 +5,9 @@ Measures what the robustness machinery costs on the fault-free hot
 path -- the number every resilience feature must justify itself
 against:
 
-* **checksum**: serialize + verify-deserialize throughput of the
-  version-1 checksummed page format, against decoding the same pages
-  with verification skipped (legacy version-0 images).
+* **checksum**: verify-deserialize throughput of the checksummed page
+  format, split into the CRC32 itself (``page_checksum`` timed alone
+  over the same pages) and the rest of the decode.
 * **retry plumbing**: buffered page reads through the retry-wrapped
   miss path, against a policy of one attempt (no retry loop state).
 
@@ -22,10 +22,10 @@ run, with the injected fault/retry counts.
   should cost roughly the hedge threshold, not the full stall.
 
 The printed table is Markdown (paste into ``docs/BENCHMARKS.md``).
-Exit status is the CI gate: nonzero when the fault-free checksummed
-read path is more than ``--max-overhead`` slower than the unverified
-one (default 0.5, i.e. "checksums may cost at most 50%"; the real
-ratio is far lower because CRC32 is C-speed), or when the hedged p99
+Exit status is the CI gate: nonzero when the CRC32 costs more than
+``--max-overhead`` of the rest of the decode (default 0.5, i.e.
+"checksums may cost at most 50%"; the real ratio is far lower because
+CRC32 is C-speed), or when the hedged p99
 fails to undercut the no-hedging p99 by at least
 ``--max-hedged-ratio``.
 
@@ -49,40 +49,41 @@ from repro.storage.buffer import RetryPolicy
 from repro.storage.faults import FaultPlan, unwrap_tree_store, wrap_tree_store
 from repro.storage.page import PageLayout
 from repro.storage.paged_file import PagedFile
-from repro.storage.serializer import NodeSerializer
+from repro.storage.serializer import NodeSerializer, page_checksum
 from repro.storage.store import MemoryPageStore
 
 
 def bench_checksum(pages: int, repeats: int) -> dict:
-    """Decode throughput: verified (v1) vs unverified (legacy v0)."""
+    """Decode throughput: the checksummed decode against its CRC32.
+
+    Every decode verifies the page checksum, so the checksum's share is
+    measured directly: ``page_checksum`` alone over the same pages,
+    charged against the rest of the decode,
+    ``overhead = checksum_s / (verified_s - checksum_s)``.
+    """
     layout = PageLayout(page_size=1024)
     serializer = NodeSerializer(layout)
     rng = random.Random(7)
     entries = [
         ((rng.random(), rng.random()), i) for i in range(layout.max_entries)
     ]
-    checked = serializer.serialize_leaf(entries)
-    # The same bytes as a legacy page: zeroed version/magic/CRC words
-    # make deserialize skip verification (legacy reads are opt-in, so
-    # the unverified baseline uses a legacy-tolerant serializer).
-    legacy = checked[:8] + b"\x00" * 8 + checked[16:]
-    legacy_serializer = NodeSerializer(layout, allow_legacy=True)
+    page = serializer.serialize_leaf(entries)
 
-    def decode_loop(decoder: NodeSerializer, page: bytes) -> float:
+    def best_of(fn) -> float:
         best = float("inf")
         for __ in range(repeats):
             start = time.perf_counter()
             for __ in range(pages):
-                decoder.deserialize_arrays(page)
+                fn(page)
             best = min(best, time.perf_counter() - start)
         return best
 
-    verified = decode_loop(serializer, checked)
-    unverified = decode_loop(legacy_serializer, legacy)
+    verified = best_of(serializer.deserialize_arrays)
+    checksum = best_of(page_checksum)
     return {
         "verified_s": verified,
-        "unverified_s": unverified,
-        "overhead": verified / unverified - 1.0,
+        "checksum_s": checksum,
+        "overhead": checksum / max(verified - checksum, 1e-12),
         "pages": pages,
     }
 
@@ -240,9 +241,9 @@ def main(argv=None) -> int:
     parser.add_argument("--quick", action="store_true",
                         help="smaller loops (CI)")
     parser.add_argument("--max-overhead", type=float, default=0.5,
-                        help="fail (exit 1) if checksummed decode is "
-                             "more than this fraction slower than "
-                             "unverified decode (default 0.5)")
+                        help="fail (exit 1) if the CRC32 costs more "
+                             "than this fraction of the rest of the "
+                             "decode (default 0.5)")
     parser.add_argument("--max-hedged-ratio", type=float, default=0.8,
                         help="fail (exit 1) if the hedged p99 is not "
                              "below this fraction of the no-hedging "
@@ -273,10 +274,11 @@ def main(argv=None) -> int:
           f"{repeats})\n")
     print("| path | with | without | overhead |")
     print("|---|---|---|---|")
-    print(f"| checksummed decode ({checksum['pages']} pages) "
+    print(f"| checksummed decode ({checksum['pages']} pages; without "
+          f"= minus the CRC32 alone) "
           f"| {checksum['verified_s'] * 1e3:.1f} ms "
-          f"| {checksum['unverified_s'] * 1e3:.1f} ms "
-          f"| {checksum['overhead'] * 100:+.1f}% |")
+          f"| {(checksum['verified_s'] - checksum['checksum_s']) * 1e3:.1f}"
+          f" ms | {checksum['overhead'] * 100:+.1f}% |")
     print(f"| retry-wrapped miss path ({plumbing['reads']} reads) "
           f"| {plumbing['retry_s'] * 1e3:.1f} ms "
           f"| {plumbing['single_s'] * 1e3:.1f} ms "

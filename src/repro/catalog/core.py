@@ -4,8 +4,8 @@ A :class:`Catalog` is a JSON sidecar (``catalog.json``) naming the
 datasets of one directory and, per dataset, one or more **built
 indexes**: the index kind (``str`` / ``grid`` / ``dynamic``, see
 :data:`repro.analysis.cost_model.INDEX_KINDS`), the page-file path,
-the committed snapshot generation it was registered at, the mmap /
-legacy-page flags its storage wants, and build statistics.  Everything
+the committed snapshot generation it was registered at, the mmap
+flag its storage wants, and build statistics.  Everything
 that used to plumb raw ``.pages`` paths and hand-rolled
 :class:`~repro.net.shard.TreeSpec` tuples -- the CLI, the query
 service, the network shards -- resolves catalog names instead::
@@ -60,14 +60,13 @@ def open_tree(
     readonly: bool = True,
     buffer_capacity: int = 0,
     read_latency: float = 0.0,
-    allow_legacy_pages: bool = False,
 ) -> RTree:
     """Reopen one persistent tree: the single source of truth.
 
     Every reopen in the system -- catalog lookups, shard workers
     (:meth:`repro.net.shard.TreeSpec.open`), the CLI's ``.pages``
-    arguments -- goes through here, so the snapshot-generation, mmap
-    and legacy-page handling cannot diverge between layers.
+    arguments -- goes through here, so the snapshot-generation and
+    mmap handling cannot diverge between layers.
 
     ``metadata`` is the :meth:`~repro.rtree.tree.RTree.metadata` dict;
     when omitted it is loaded from the ``<path>.meta.json`` sidecar
@@ -105,7 +104,6 @@ def open_tree(
             dimension=int(metadata.get("dimension", 2)),
         ),
         variant=metadata.get("variant", "rstar"),
-        allow_legacy_pages=allow_legacy_pages,
     )
     tree = RTree(config, file)
     tree.root_id = metadata["root_id"]
@@ -135,7 +133,6 @@ class IndexEntry:
     page_size: int
     metadata: Dict[str, Any]
     use_mmap: bool = False
-    allow_legacy_pages: bool = False
     #: Build statistics: ``build_s`` (wall seconds), ``nodes``,
     #: ``height`` and -- for planner-chosen indexes -- the decision's
     #: evidence dict.
@@ -163,7 +160,6 @@ class IndexEntry:
             readonly=readonly,
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
-            allow_legacy_pages=self.allow_legacy_pages,
         )
 
     def tree_spec(
@@ -194,7 +190,6 @@ class IndexEntry:
             "page_size": self.page_size,
             "metadata": dict(self.metadata),
             "use_mmap": self.use_mmap,
-            "allow_legacy_pages": self.allow_legacy_pages,
             "build": dict(self.build),
         }
 
@@ -209,9 +204,6 @@ class IndexEntry:
                 page_size=int(obj["page_size"]),
                 metadata=dict(obj["metadata"]),
                 use_mmap=bool(obj.get("use_mmap", False)),
-                allow_legacy_pages=bool(
-                    obj.get("allow_legacy_pages", False)
-                ),
                 build=dict(obj.get("build", {})),
             )
         except KeyError as exc:
@@ -542,20 +534,15 @@ class Catalog:
         kind: str = "dynamic",
         metadata: Optional[Dict[str, Any]] = None,
         use_mmap: bool = False,
-        allow_legacy_pages: bool = False,
         source: Optional[str] = None,
         overwrite: bool = False,
-        persist: bool = True,
     ) -> DatasetEntry:
         """Register an existing ``.pages`` file under a catalog name.
 
         The migration path for pre-catalog trees (``repro-cpq build``
-        output, deprecated raw path flags): the page file stays where
-        it is, only the catalog entry is created.  ``metadata``
-        defaults to the ``.meta.json`` sidecar.  ``persist=False``
-        registers in memory only -- how the CLI routes a one-shot
-        deprecated path argument through the catalog without writing a
-        catalog file next to it.
+        output): the page file stays where it is, only the catalog
+        entry is created.  ``metadata`` defaults to the ``.meta.json``
+        sidecar.
         """
         if name in self._datasets and not overwrite:
             raise CatalogError(
@@ -587,11 +574,9 @@ class Catalog:
             page_size=int(metadata["page_size"]),
             metadata=dict(metadata),
             use_mmap=use_mmap,
-            allow_legacy_pages=allow_legacy_pages,
         )
         self._datasets[name] = entry
-        if persist:
-            self.save()
+        self.save()
         return entry
 
     def remove_dataset(self, name: str, delete_files: bool = False) -> None:

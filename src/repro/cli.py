@@ -8,29 +8,30 @@ The subcommands cover the library's workflow end to end::
     repro-cpq ingest more.npy --tree sites.pages --batch-size 64
     repro-cpq recover --tree sites.pages
     repro-cpq info --tree sites.pages
-    repro-cpq query sites.npy q.npy --k 10 --algorithm heap
-    repro-cpq explain sites.npy q.npy --k 10 --buffer 64
+    repro-cpq catalog register sites sites.npy --catalog data/
+    repro-cpq catalog register q q.npy --catalog data/
+    repro-cpq query sites q --catalog data/ --k 10 --algorithm heap
+    repro-cpq explain sites q --catalog data/ --k 10 --buffer 64
+    repro-cpq serve-net sites q --catalog data/ --shards 4
     repro-cpq batch sites.npy q.npy requests.jsonl --workers 8
     repro-cpq serve sites.npy q.npy --deadline-ms 50 < requests.jsonl
-    repro-cpq catalog register parks parks.npy --catalog data/
-    repro-cpq sql "SELECT CLOSEST PAIRS K 10 FROM parks, schools" \
+    repro-cpq sql "SELECT CLOSEST PAIRS K 10 FROM sites, q" \
         --catalog data/
     repro-cpq figure fig04 --quick
 
 ``catalog`` maintains a persisted dataset catalog
 (:mod:`repro.catalog`): named datasets with one or more built indexes
 (STR-packed, grid-packed, dynamic).  ``query``, ``explain`` and
-``serve-net`` accept catalog names wherever they accept files when
-``--catalog`` is given; raw path arguments still work one release
-longer but warn with ``DeprecationWarning`` and are routed through the
-same catalog machinery.  ``sql`` runs CPQL statements
-(:mod:`repro.query.cpql`) against a catalog, in-process or against a
-``serve-net`` endpoint.  ``explain`` runs the same query traced
-(:mod:`repro.obs`) and prints the span tree.  ``batch`` and ``serve``
-run JSONL request streams through the concurrent query service
-(:mod:`repro.service`); both emit one JSON response per request plus a
-serve-stats metrics snapshot, and ``--trace out.jsonl`` records every
-request's spans.  Also runnable as ``python -m repro ...``.
+``serve-net`` take catalog dataset names and a required ``--catalog``.
+``sql`` runs CPQL statements (:mod:`repro.query.cpql`) against a
+catalog, in-process or against a ``serve-net`` endpoint.  ``explain``
+runs the same query traced (:mod:`repro.obs`) and prints the span
+tree.  ``batch`` and ``serve`` run JSONL request streams through the
+concurrent query service (:mod:`repro.service`): every line is a wire
+request envelope and every output line a wire response envelope
+(:mod:`repro.net.wire`), plus a serve-stats metrics snapshot on
+stderr; ``--trace out.jsonl`` records every request's spans.  Also
+runnable as ``python -m repro ...``.
 """
 
 from __future__ import annotations
@@ -39,7 +40,6 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from typing import List, Optional
 
 from repro.core.api import ALGORITHMS, CPQRequest, k_closest_pairs
@@ -80,54 +80,21 @@ def _load_tree(path: str, use_mmap: bool = False) -> RTree:
 
 
 def _get_catalog(args: argparse.Namespace):
-    """The ``--catalog`` flag as a loaded :class:`Catalog`, or None."""
-    path = getattr(args, "catalog", None)
-    if path is None:
-        return None
+    """The ``--catalog`` flag as a loaded :class:`Catalog`."""
     from repro.catalog import Catalog
 
-    return Catalog(path)
+    return Catalog(args.catalog)
 
 
-def _deprecate_path_arg(ref: str) -> None:
-    warnings.warn(
-        f"raw path inputs like {ref!r} are deprecated; register the "
-        f"dataset in a catalog (repro-cpq catalog register) and pass "
-        f"its name with --catalog.  Path arguments will be removed "
-        f"one release from now.",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def _open_input(
-    ref: str, catalog, *, use_mmap: bool = False, warn_paths: bool = True
-) -> RTree:
-    """Resolve one dataset input: catalog name, ``.pages``, or points.
-
-    Catalog names win; path arguments (deprecated on the commands that
-    pass ``warn_paths=True``) route through the same catalog machinery
-    -- a ``.pages`` file is adopted into an in-memory catalog entry
-    and opened with :meth:`~repro.catalog.Catalog.open_dataset`, so
-    flag handling cannot diverge from named datasets.
-    """
-    from repro.catalog import Catalog
+def _catalog_error(exc: Exception) -> int:
+    """Report a dataset that cannot be resolved; returns exit status 2."""
     from repro.errors import UnknownDatasetError
 
-    if catalog is not None and ref in catalog:
-        return catalog.open_dataset(ref, use_mmap=use_mmap or None)
-    if not os.path.exists(ref):
-        if catalog is not None:
-            raise UnknownDatasetError(ref, tuple(catalog.names()))
-        raise FileNotFoundError(f"no such input: {ref}")
-    if warn_paths:
-        _deprecate_path_arg(ref)
-    if ref.endswith(".pages"):
-        scratch = Catalog(ref + ".catalog.json")
-        scratch.adopt_pages("_adopted", ref, use_mmap=use_mmap,
-                            persist=False)
-        return scratch.open_dataset("_adopted")
-    return bulk_load(load_points(ref))
+    print(f"error: {exc}", file=sys.stderr)
+    if isinstance(exc, UnknownDatasetError):
+        print("hint: register inputs first with `repro-cpq catalog "
+              "register NAME POINTS --catalog DIR`", file=sys.stderr)
+    return 2
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -370,11 +337,12 @@ def cmd_query(args: argparse.Namespace) -> int:
 
     try:
         catalog = _get_catalog(args)
-        tree_p = _open_input(args.left, catalog, use_mmap=args.mmap)
-        tree_q = _open_input(args.right, catalog, use_mmap=args.mmap)
-    except (CatalogError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        tree_p, tree_q = (
+            catalog.open_dataset(name, use_mmap=args.mmap or None)
+            for name in (args.left, args.right)
+        )
+    except CatalogError as exc:
+        return _catalog_error(exc)
     try:
         range_spec, color_spec = _constraints_from_args(args)
         request = CPQRequest(
@@ -424,11 +392,11 @@ def cmd_explain(args: argparse.Namespace) -> int:
 
     try:
         catalog = _get_catalog(args)
-        tree_p = _open_input(args.left, catalog)
-        tree_q = _open_input(args.right, catalog)
-    except (CatalogError, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        tree_p, tree_q = (
+            catalog.open_dataset(name) for name in (args.left, args.right)
+        )
+    except CatalogError as exc:
+        return _catalog_error(exc)
     try:
         range_spec, color_spec = _constraints_from_args(args)
     except ValueError as exc:
@@ -525,92 +493,35 @@ def cmd_join(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_service_request(obj: dict, default_pair: str = "default"):
-    """Decode one JSONL request object into a service request."""
-    from repro.service import CPQRequest, KNNRequest, RangeRequest
+def _decode_line(line: str):
+    """One JSONL request line as a service request, or as the
+    ``bad_request`` response that stands in its place.
 
-    op = obj.get("op", "cpq")
-    common = {
-        "pair": obj.get("pair", default_pair),
-        "deadline_ms": obj.get("deadline_ms"),
-        "use_cache": bool(obj.get("use_cache", True)),
-    }
-    if op == "cpq":
-        range_obj = obj.get("range")
-        if isinstance(range_obj, dict):
-            from repro.core.constraints import RangeSpec
+    Every line is a wire request envelope
+    (:func:`repro.net.wire.decode_request`, so ``"v": 3`` is
+    required).  ``sql`` envelopes are refused too: ``batch`` and
+    ``serve`` hold one tree pair and no catalog.
+    """
+    from repro.net import wire
+    from repro.service import STATUS_BAD_REQUEST, QueryResponse
 
-            range_obj = RangeSpec(
-                lo=tuple(range_obj["lo"]), hi=tuple(range_obj["hi"]),
-                mode=range_obj.get("mode", "both"),
-            )
-        elif range_obj is not None:
-            # [[lo...], [hi...]] shorthand; the request normalises it.
-            range_obj = (tuple(range_obj[0]), tuple(range_obj[1]))
-        return CPQRequest(
-            k=int(obj.get("k", 1)),
-            algorithm=obj.get("algorithm", "auto"),
-            tie_break=obj.get("tie_break"),
-            maxmax_pruning=bool(obj.get("maxmax_pruning", True)),
-            range=range_obj,
-            colors=obj.get("colors"),
-            **common,
-        )
-    if op == "knn":
-        return KNNRequest(
-            point=tuple(obj["point"]),
-            k=int(obj.get("k", 1)),
-            side=obj.get("side", "p"),
-            **common,
-        )
-    if op == "range":
-        return RangeRequest(
-            lo=tuple(obj["lo"]),
-            hi=tuple(obj["hi"]),
-            side=obj.get("side", "p"),
-            **common,
-        )
-    raise ValueError(f"unknown op {op!r}; expected cpq, knn or range")
+    try:
+        request = wire.loads_request(line)
+    except wire.WireError as exc:
+        return QueryResponse(status=STATUS_BAD_REQUEST, kind="invalid",
+                             error=f"bad request: {exc}")
+    if isinstance(request, wire.SQLRequest):
+        return QueryResponse(status=STATUS_BAD_REQUEST, kind="sql",
+                             error="bad request: sql statements need a "
+                                   "catalog; run them with repro-cpq sql")
+    return request
 
 
-def _response_json(response) -> dict:
-    """Flatten a QueryResponse to a JSON-serialisable dict."""
-    out = {
-        "status": response.status,
-        "kind": response.kind,
-        "cached": response.cached,
-        "latency_ms": round(response.latency_ms, 3),
-        "disk_reads": response.disk_reads,
-    }
-    if response.algorithm is not None:
-        out["algorithm"] = response.algorithm
-    if response.error is not None:
-        out["error"] = response.error
-    # Resilience annotations, only when they carry signal (keeps the
-    # common-case line format stable).
-    if response.stale:
-        out["stale"] = True
-    if response.read_retries:
-        out["read_retries"] = response.read_retries
-    if not response.ok:
-        return out
-    if response.kind == "cpq":
-        out["pairs"] = [
-            {"distance": p.distance, "p": list(p.p), "q": list(p.q),
-             "p_oid": p.p_oid, "q_oid": p.q_oid}
-            for p in response.result.pairs
-        ]
-    elif response.kind == "knn":
-        out["neighbors"] = [
-            {"distance": d, "point": list(e.point), "oid": e.oid}
-            for d, e in response.result
-        ]
-    else:
-        out["points"] = [
-            {"point": list(e.point), "oid": e.oid}
-            for e in response.result
-        ]
-    return out
+def _response_line(response) -> str:
+    """One QueryResponse as a JSONL wire response envelope."""
+    from repro.net import wire
+
+    return json.dumps(wire.encode_response(response))
 
 
 def _make_service(args: argparse.Namespace):
@@ -630,7 +541,7 @@ def _make_service(args: argparse.Namespace):
         default_deadline_ms=args.deadline_ms,
         tracer=Tracer() if args.trace else None,
     )
-    service.register_pair(args.pair, tree_p, tree_q)
+    service.register_pair("default", tree_p, tree_q)
     return service
 
 
@@ -655,6 +566,8 @@ def _emit_serve_stats(service, args: argparse.Namespace) -> None:
 
 
 def cmd_batch(args: argparse.Namespace) -> int:
+    from repro.service import QueryResponse
+
     service = _make_service(args)
     try:
         if args.requests == "-":
@@ -662,17 +575,21 @@ def cmd_batch(args: argparse.Namespace) -> int:
         else:
             with open(args.requests) as handle:
                 lines = handle.read().splitlines()
-        requests = [
-            _parse_service_request(json.loads(line), args.pair)
-            for line in lines
-            if line.strip()
+        decoded = [_decode_line(line) for line in lines if line.strip()]
+        handles = iter(service.submit_batch([
+            item for item in decoded if not isinstance(item, QueryResponse)
+        ]))
+        # A bad line keeps its own position, so responses stay aligned
+        # with the request lines.
+        responses = [
+            item if isinstance(item, QueryResponse)
+            else next(handles).result()
+            for item in decoded
         ]
-        handles = service.submit_batch(requests)
-        responses = [handle.result() for handle in handles]
         sink = open(args.out, "w") if args.out else sys.stdout
         try:
             for response in responses:
-                print(json.dumps(_response_json(response)), file=sink)
+                print(_response_line(response), file=sink)
         finally:
             if args.out:
                 sink.close()
@@ -692,20 +609,17 @@ def cmd_batch(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
+    from repro.service import QueryResponse
+
     service = _make_service(args)
     try:
         for line in sys.stdin:
             if not line.strip():
                 continue
-            try:
-                request = _parse_service_request(json.loads(line), args.pair)
-            except (ValueError, KeyError) as exc:
-                print(json.dumps({"status": "error",
-                                  "error": f"bad request: {exc}"}),
-                      flush=True)
-                continue
-            response = service.execute(request)
-            print(json.dumps(_response_json(response)), flush=True)
+            response = _decode_line(line)
+            if not isinstance(response, QueryResponse):
+                response = service.execute(response)
+            print(_response_line(response), flush=True)
         _emit_serve_stats(service, args)
         _emit_trace(service, args)
     finally:
@@ -713,74 +627,31 @@ def cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _file_backed_tree(path: str, scratch_dir: str, name: str) -> RTree:
-    """Open (or materialise) a tree the shard tier can reopen.
-
-    Shard processes reopen trees through their own ``FilePageStore``
-    descriptors, so the tree must live in a ``.pages`` file; a raw
-    points input is bulk-loaded into ``scratch_dir`` first.
-    """
-    if path.endswith(".pages"):
-        return _load_tree(path)
-    import os
-
-    pages = os.path.join(scratch_dir, name + ".pages")
-    store = FilePageStore(pages, page_size=1024)
-    return bulk_load(load_points(path),
-                     file=PagedFile(store, page_size=1024))
-
-
 def cmd_serve_net(args: argparse.Namespace) -> int:
-    import tempfile
     import time as time_mod
 
     from repro.errors import CatalogError
-    from repro.net import NetServer, ShardManager, tree_spec
-    from repro.net.shard import TreeSpec
+    from repro.net import NetServer, ShardManager
     from repro.service import QueryService
 
-    catalog = _get_catalog(args)
-    pair = args.pair
     read_latency = args.shard_read_latency_ms / 1000.0
-    if (catalog is not None
-            and args.left in catalog and args.right in catalog):
-        # Catalog mode: shard specs come straight from the entries --
-        # page path, snapshot generation, mmap/legacy flags included.
-        try:
-            specs = [
-                catalog.tree_spec(
-                    name,
-                    buffer_capacity=args.shard_buffer,
-                    read_latency=read_latency,
-                )
-                for name in (args.left, args.right)
-            ]
-        except CatalogError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        if pair == "default":
-            # CPQL derives pair names as "left,right"; match it so
-            # SQL queries route through the shard tier.
-            pair = f"{args.left},{args.right}"
-    else:
-        if catalog is not None and not (
-            os.path.exists(args.left) and os.path.exists(args.right)
-        ):
-            known = ", ".join(catalog.names()) or "(empty catalog)"
-            print(f"error: inputs are neither registered datasets nor "
-                  f"files; catalog knows: {known}", file=sys.stderr)
-            return 2
-        _deprecate_path_arg(args.left)
-        scratch = tempfile.mkdtemp(prefix="repro-serve-net-")
-        specs = []
-        for name, path in (("p", args.left), ("q", args.right)):
-            tree = _file_backed_tree(path, scratch, name)
-            spec = tree_spec(tree)
-            specs.append(TreeSpec(
-                spec.path, spec.page_size, spec.metadata,
+    try:
+        catalog = _get_catalog(args)
+        # Shard specs come straight from the catalog entries: page
+        # path, snapshot generation and mmap flag included.
+        specs = [
+            catalog.tree_spec(
+                name,
                 buffer_capacity=args.shard_buffer,
                 read_latency=read_latency,
-            ))
+            )
+            for name in (args.left, args.right)
+        ]
+    except CatalogError as exc:
+        return _catalog_error(exc)
+    # By default the pair takes the "left,right" name CPQL derives, so
+    # SQL queries route through the shard tier.
+    pair = args.pair or f"{args.left},{args.right}"
     manager = ShardManager(
         specs[0], specs[1],
         shards=args.shards,
@@ -804,10 +675,9 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
         if kind in lifecycle else None
     )
     service.register_pair(pair, manager.tree_p, manager.tree_q)
-    if catalog is not None:
-        # /v1/sql statements addressing other catalog datasets resolve
-        # in-process; the sharded pair keeps its scatter-gather path.
-        service.attach_catalog(catalog)
+    # /v1/sql statements addressing other catalog datasets resolve
+    # in-process; the sharded pair keeps its scatter-gather path.
+    service.attach_catalog(catalog)
     server = NetServer(
         service, host=args.host, port=args.port, manager=manager,
     ).start_in_thread()
@@ -1263,7 +1133,7 @@ def _print_cpq_response(response, as_json: bool) -> int:
     from repro.service import STATUS_BAD_REQUEST
 
     if as_json:
-        print(json.dumps(_response_json(response)))
+        print(_response_line(response))
         if response.status == STATUS_BAD_REQUEST:
             return EXIT_UNSUPPORTED_CAPABILITY
         return 0 if response.ok else 1
@@ -1566,13 +1436,9 @@ def build_parser() -> argparse.ArgumentParser:
     query = sub.add_parser(
         "query", help="run a K closest pairs query"
     )
-    query.add_argument("left",
-                       help="catalog dataset name (with --catalog), or "
-                            "points file / .pages tree (deprecated)")
-    query.add_argument("right",
-                       help="catalog dataset name (with --catalog), or "
-                            "points file / .pages tree (deprecated)")
-    query.add_argument("--catalog", default=None,
+    query.add_argument("left", help="catalog dataset name (P)")
+    query.add_argument("right", help="catalog dataset name (Q)")
+    query.add_argument("--catalog", required=True,
                        help="dataset catalog (dir or catalog.json) to "
                             "resolve names against")
     query.add_argument("--k", type=int, default=1)
@@ -1580,7 +1446,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--buffer", type=int, default=0,
                        help="total LRU buffer pages (B/2 per tree)")
     query.add_argument("--mmap", action="store_true",
-                       help="read .pages inputs through the mmap path")
+                       help="read pages through the mmap path")
     _add_constraint_flags(query)
     query.set_defaults(func=cmd_query)
 
@@ -1588,15 +1454,9 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="run a K-CPQ traced and print the EXPLAIN-style span tree",
     )
-    explain.add_argument("left",
-                         help="catalog dataset name (with --catalog), "
-                              "or points file / .pages tree "
-                              "(deprecated)")
-    explain.add_argument("right",
-                         help="catalog dataset name (with --catalog), "
-                              "or points file / .pages tree "
-                              "(deprecated)")
-    explain.add_argument("--catalog", default=None,
+    explain.add_argument("left", help="catalog dataset name (P)")
+    explain.add_argument("right", help="catalog dataset name (Q)")
+    explain.add_argument("--catalog", required=True,
                          help="dataset catalog (dir or catalog.json) "
                               "to resolve names against")
     explain.add_argument("--k", type=int, default=1)
@@ -1651,8 +1511,6 @@ def build_parser() -> argparse.ArgumentParser:
                              help="admission queue bound")
         parser_.add_argument("--buffer", type=int, default=0,
                              help="total LRU buffer pages (B/2 per tree)")
-        parser_.add_argument("--pair", default="default",
-                             help="name the registered tree pair")
         parser_.add_argument("--stats-json", default=None,
                              help="also write the serve-stats snapshot "
                                   "to this file")
@@ -1682,15 +1540,9 @@ def build_parser() -> argparse.ArgumentParser:
         "serve-net",
         help="serve the HTTP/JSON network tier over spatial shards",
     )
-    serve_net.add_argument("left",
-                           help="catalog dataset name (with --catalog),"
-                                " or points file / .pages tree (P, "
-                                "deprecated)")
-    serve_net.add_argument("right",
-                           help="catalog dataset name (with --catalog),"
-                                " or points file / .pages tree (Q, "
-                                "deprecated)")
-    serve_net.add_argument("--catalog", default=None,
+    serve_net.add_argument("left", help="catalog dataset name (P)")
+    serve_net.add_argument("right", help="catalog dataset name (Q)")
+    serve_net.add_argument("--catalog", required=True,
                            help="dataset catalog (dir or catalog.json);"
                                 " also enables POST /v1/sql dataset "
                                 "resolution")
@@ -1720,8 +1572,10 @@ def build_parser() -> argparse.ArgumentParser:
                            help="result cache capacity (0 disables)")
     serve_net.add_argument("--deadline-ms", type=float, default=None,
                            help="default per-query deadline")
-    serve_net.add_argument("--pair", default="default",
-                           help="name the registered tree pair")
+    serve_net.add_argument("--pair", default=None,
+                           help="name the registered tree pair "
+                                "(default: LEFT,RIGHT, the name CPQL "
+                                "derives)")
     serve_net.add_argument("--run-seconds", type=float, default=None,
                            help="serve for this long then drain "
                                 "(default: until interrupted)")

@@ -48,18 +48,12 @@ from repro.service import (
 from repro.storage.stats import QueryStats
 
 #: Wire protocol version; bump on any incompatible envelope change.
-#: Version 2 adds the optional ``range`` / ``colors`` fields to the
-#: cpq request envelope.  Version 3 adds the ``sql`` op: the envelope
-#: carries one CPQL statement (:mod:`repro.query.cpql`) which the
-#: *server* parses and plans against its catalog -- the client needs
-#: no parser and no knowledge of dataset layout.  Each addition is
-#: backwards-compatible -- absent fields decode to unconstrained
-#: queries -- so version-1 and version-2 envelopes remain accepted
-#: (:data:`ACCEPTED_VERSIONS`); only ``op: sql`` itself demands v3.
+#: Encoders emit it and decoders accept nothing else.  The cpq
+#: envelope's ``range`` / ``colors`` fields are optional (absent means
+#: unconstrained); the ``sql`` op carries one CPQL statement
+#: (:mod:`repro.query.cpql`) which the *server* parses and plans
+#: against its catalog.
 WIRE_VERSION = 3
-
-#: Envelope versions this decoder speaks.
-ACCEPTED_VERSIONS = frozenset({1, 2, 3})
 
 
 @dataclass(frozen=True)
@@ -71,7 +65,7 @@ class SQLRequest:
     compiled onto the pair named by its ``FROM`` clause, so the wire
     never fixes the algorithm, constraints or even the pair -- the
     statement does.  ``pair`` optionally overrides the derived pair
-    name.  Requires wire version >= 3.
+    name.
     """
 
     kind: ClassVar[str] = "sql"
@@ -89,14 +83,13 @@ class WireError(ValueError):
     """Malformed, unsupported, or wrong-version wire payload."""
 
 
-def _require_version(obj: Dict[str, Any]) -> int:
+def _require_version(obj: Dict[str, Any]) -> None:
     version = obj.get("v")
-    if version not in ACCEPTED_VERSIONS:
+    if version != WIRE_VERSION:
         raise WireError(
             f"unsupported wire version {version!r}; this endpoint "
-            f"speaks versions {sorted(ACCEPTED_VERSIONS)}"
+            f"speaks version {WIRE_VERSION}"
         )
-    return version
 
 
 def _json_safe(value: Any) -> Any:
@@ -136,9 +129,6 @@ def encode_request(request: Request) -> Dict[str, Any]:
             tie_break=_json_safe(request.tie_break),
             maxmax_pruning=request.maxmax_pruning,
         )
-        # Constraint fields (wire v2) are emitted only when set, so an
-        # unconstrained request's envelope stays v1-shaped apart from
-        # the version number.
         if request.range is not None:
             out["range"] = {
                 "lo": list(request.range.lo),
@@ -173,7 +163,7 @@ def encode_request(request: Request) -> Dict[str, Any]:
 
 
 def _decode_range_spec(obj: Optional[Dict[str, Any]]) -> Optional[RangeSpec]:
-    """Decode the v2 ``range`` field; absent (v1) means unconstrained."""
+    """Decode the ``range`` field; absent means unconstrained."""
     if obj is None:
         return None
     return RangeSpec(
@@ -184,7 +174,7 @@ def _decode_range_spec(obj: Optional[Dict[str, Any]]) -> Optional[RangeSpec]:
 
 
 def _decode_color_spec(obj: Optional[Dict[str, Any]]) -> Optional[ColorSpec]:
-    """Decode the v2 ``colors`` field; absent (v1) means uncolored."""
+    """Decode the ``colors`` field; absent means uncolored."""
     if obj is None:
         return None
     colors_p = obj.get("colors_p")
@@ -203,13 +193,9 @@ def decode_request(obj: Dict[str, Any]) -> Request:
     if not isinstance(obj, dict):
         raise WireError(f"request envelope must be an object, "
                         f"got {type(obj).__name__}")
-    version = _require_version(obj)
+    _require_version(obj)
     op = obj.get("op", "cpq")
     if op == "sql":
-        if version < 3:
-            raise WireError(
-                f"op 'sql' requires wire version >= 3, got {version}"
-            )
         sql = obj.get("sql")
         if not isinstance(sql, str) or not sql.strip():
             raise WireError("'sql' request needs a non-empty sql string")

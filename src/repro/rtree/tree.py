@@ -70,10 +70,6 @@ class RTreeConfig:
     variant: str = "rstar"
     #: Fraction of M force-reinserted on overflow (R* recommends 30 %).
     reinsert_fraction: float = 0.3
-    #: Accept version-0 (pre-checksum) pages when reading.  Off by
-    #: default: a damaged version-1 header can masquerade as legacy, so
-    #: only opt in for page files known to predate checksumming.
-    allow_legacy_pages: bool = False
 
     def __post_init__(self) -> None:
         if self.variant not in VARIANTS:
@@ -111,9 +107,7 @@ class RTree:
                 f"paged file uses {self.file.page_size}-byte pages but the "
                 f"layout expects {layout.page_size}"
             )
-        self.serializer = NodeSerializer(
-            layout, allow_legacy=self.config.allow_legacy_pages
-        )
+        self.serializer = NodeSerializer(layout)
         self.root_id: Optional[int] = None
         self.height = 0  # number of levels; 0 means empty
         self._count = 0

@@ -482,7 +482,7 @@ class QueryService:
         ``"a"``, the self-join) auto-registers it by opening the named
         datasets through :meth:`~repro.catalog.Catalog.open_dataset`
         -- the catalog's metadata, not hand-plumbed paths, decides
-        page size, mmap and legacy flags.  ``kind`` pins one index
+        page size and the mmap flag.  ``kind`` pins one index
         kind for every dataset; ``None`` takes each dataset's
         default.  The open keyword arguments apply to every tree
         opened this way; the service closes those trees on

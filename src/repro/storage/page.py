@@ -16,9 +16,9 @@ HEADER_SIZE = 16
 
 #: On-disk page format version written into every new page header.
 #:
-#: * **0** -- legacy pages (the header's last 8 bytes are zero padding);
-#:   read support is kept so page files written before checksumming
-#:   still open, but no integrity check is possible.
+#: * **0** -- the pre-checksum layout (the header's last 8 bytes are
+#:   zero padding).  Rejected as corruption like any unknown version:
+#:   a zeroed version word is also what a torn header write leaves.
 #: * **1** -- checksummed pages: the former padding carries the version
 #:   (uint16), the :data:`PAGE_MAGIC` stamp (uint16), and a CRC32
 #:   (uint32) over the whole page with the checksum field zeroed.  Any
@@ -30,11 +30,8 @@ HEADER_SIZE = 16
 PAGE_FORMAT_VERSION = 1
 
 #: Non-zero stamp written into the header word after the version
-#: (ASCII ``"PR"``).  A genuine legacy version-0 header is all zeros
-#: there; a version-1 header whose version field was zeroed by damage
-#: (torn header write, bit-flip) still carries this stamp, so the two
-#: are distinguishable and a damaged v1 page can never slip through
-#: the unchecksummed legacy read path.
+#: (ASCII ``"PR"``), so a version-1 header is never all zeros past the
+#: entry count; existing page files carry it.
 PAGE_MAGIC = 0x5250
 
 #: Fixed on-disk entry footprint in bytes.  Both leaf entries

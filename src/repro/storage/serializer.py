@@ -20,13 +20,10 @@ Every page this serializer writes is version 1 with the
 :data:`~repro.storage.page.PAGE_MAGIC` stamp in the reserved word; a
 version-1 page whose checksum does not match raises
 :class:`repro.errors.PageCorruptionError` -- corruption is loud, never
-a silently wrong node.  Version-0 pages (written before checksumming;
-header tail is all zeros) carry no checksum and are only accepted when
-the serializer was opened with ``allow_legacy=True``: by default a
-zeroed version word -- which is exactly what a torn header write or a
-version-field bit-flip produces -- is treated as corruption rather
-than silently skipping validation, and even in legacy mode a version-0
-header whose magic word is non-zero is rejected as a damaged v1 page.
+a silently wrong node.  Any other version word is rejected the same
+way -- including 0, the pre-checksum layout, because a zeroed version
+word is exactly what a torn header write or a version-field bit-flip
+produces.
 """
 
 from __future__ import annotations
@@ -71,17 +68,10 @@ class PageOverflowError(ValueError):
 
 
 class NodeSerializer:
-    """Serialises nodes of a fixed dimension into fixed-size pages.
+    """Serialises nodes of a fixed dimension into fixed-size pages."""
 
-    ``allow_legacy`` opts in to reading version-0 (pre-checksum) pages;
-    leave it off -- the default -- unless the page file is known to
-    predate checksumming, because a damaged version-1 header can look
-    exactly like a legacy one.
-    """
-
-    def __init__(self, layout: PageLayout, allow_legacy: bool = False):
+    def __init__(self, layout: PageLayout):
         self.layout = layout
-        self.allow_legacy = allow_legacy
         k = layout.dimension
         self._leaf_entry = struct.Struct(f"<{k}dq")
         self._internal_entry = struct.Struct(f"<{2 * k}dq")
@@ -158,35 +148,18 @@ class NodeSerializer:
             raise PageCorruptionError(
                 f"page of {len(page)} bytes; expected {self.layout.page_size}"
             )
-        level, count, version, magic, crc = _HEADER.unpack_from(page, 0)
-        if version == PAGE_FORMAT_VERSION:
-            actual = page_checksum(page)
-            if actual != crc:
-                raise PageCorruptionError(
-                    f"corrupt page: CRC32 mismatch (stored {crc:#010x}, "
-                    f"computed {actual:#010x})"
-                )
-        elif version == 0:
-            # Version 0 is the pre-checksum layout (header tail all
-            # zero).  A zeroed version word is also what a torn header
-            # write or a version-field bit-flip produces, so acceptance
-            # is opt-in -- and a v1 page unmasked by its magic stamp is
-            # rejected even then.
-            if magic != 0:
-                raise PageCorruptionError(
-                    f"corrupt page: version 0 but magic word "
-                    f"{magic:#06x} is set (damaged version-1 header)"
-                )
-            if not self.allow_legacy:
-                raise PageCorruptionError(
-                    "corrupt page: version 0 (legacy unchecksummed "
-                    "layout) not accepted; open the serializer with "
-                    "allow_legacy=True to read pre-checksum page files"
-                )
-        else:
-            # Anything else is damage or a future format.
+        level, count, version, __, crc = _HEADER.unpack_from(page, 0)
+        if version != PAGE_FORMAT_VERSION:
+            # Damage (a torn or zeroed header), the unchecksummed
+            # version 0, or a future format: never decode unverified.
             raise PageCorruptionError(
                 f"corrupt page: unknown format version {version}"
+            )
+        actual = page_checksum(page)
+        if actual != crc:
+            raise PageCorruptionError(
+                f"corrupt page: CRC32 mismatch (stored {crc:#010x}, "
+                f"computed {actual:#010x})"
             )
         if level < 0:
             raise PageCorruptionError(

@@ -125,6 +125,26 @@ class TestPersistence:
         with pytest.raises(CatalogError, match="schema version"):
             Catalog(str(tmp_path))
 
+    def test_dropped_index_flag_still_loads(self, catalog, tmp_path):
+        """Catalog files written with the former ``allow_legacy_pages``
+        index key keep loading; the key is not written back."""
+        catalog.register_dataset("old", _points(25), kind="str")
+        with open(tmp_path / CATALOG_FILENAME) as handle:
+            obj = json.load(handle)
+        obj["datasets"]["old"]["indexes"]["str"]["allow_legacy_pages"] = False
+        with open(tmp_path / CATALOG_FILENAME, "w") as handle:
+            json.dump(obj, handle)
+        reloaded = Catalog(str(tmp_path))
+        tree = reloaded.open_dataset("old")
+        try:
+            assert len(tree) == 25
+        finally:
+            tree.file.store.close()
+        reloaded.save()
+        assert "allow_legacy_pages" not in (
+            tmp_path / CATALOG_FILENAME
+        ).read_text()
+
     def test_corrupt_catalog_file_refused(self, tmp_path):
         (tmp_path / CATALOG_FILENAME).write_text("{not json")
         with pytest.raises(CatalogError, match="unreadable"):
@@ -193,16 +213,6 @@ class TestAdoptPages:
         finally:
             tree.file.store.close()
         assert "adopted" in Catalog(str(tmp_path / "other"))
-
-    def test_adopt_persist_false_writes_nothing(self, catalog, tmp_path):
-        catalog.register_dataset("mem", _points(30), kind="str")
-        pages = catalog.dataset("mem").index().path
-        scratch_dir = tmp_path / "scratch"
-        scratch_dir.mkdir()
-        scratch = Catalog(str(scratch_dir))
-        scratch.adopt_pages("tmp", pages, kind="str", persist=False)
-        assert "tmp" in scratch
-        assert not os.path.exists(scratch.path)
 
     def test_adopt_missing_file_rejected(self, catalog):
         with pytest.raises(CatalogError, match="no page file"):

@@ -12,6 +12,18 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def register(directory, **datasets):
+    """Register points files as STR-packed catalog datasets under
+    ``directory``; returns the catalog path."""
+    from repro.catalog import Catalog
+    from repro.datasets import load_points
+
+    catalog = Catalog(str(directory))
+    for name, path in datasets.items():
+        catalog.register_dataset(name, load_points(path), kind="str")
+    return str(directory)
+
+
 class TestGenerate:
     def test_uniform_npy(self, tmp_path, capsys):
         out = str(tmp_path / "pts.npy")
@@ -70,19 +82,26 @@ class TestBuildInfoQuery:
         right = str(tmp_path / "b.npy")
         run_cli("generate", "--n", "300", "--seed", "1", "--out", left)
         run_cli("generate", "--n", "300", "--seed", "2", "--out", right)
+        catalog = register(tmp_path, a=left, b=right)
         assert run_cli(
-            "query", left, right, "--k", "5", "--algorithm", "std"
+            "query", "a", "b", "--catalog", catalog,
+            "--k", "5", "--algorithm", "std",
         ) == 0
         out = capsys.readouterr().out
         assert out.count("\n") >= 6  # 5 pairs + stats line
         assert "# STD:" in out
 
     def test_query_on_built_tree(self, built, tmp_path, capsys):
+        from repro.catalog import Catalog
+
         points_path, tree_path = built
         other = str(tmp_path / "other.npy")
         run_cli("generate", "--n", "200", "--seed", "9", "--out", other)
+        catalog = register(tmp_path, other=other)
+        Catalog(catalog).adopt_pages("built", tree_path)
         assert run_cli(
-            "query", tree_path, other, "--k", "3", "--buffer", "32"
+            "query", "built", "other", "--catalog", catalog,
+            "--k", "3", "--buffer", "32",
         ) == 0
         assert "# HEAP:" in capsys.readouterr().out
 
@@ -95,7 +114,8 @@ class TestBuildInfoQuery:
         right = str(tmp_path / "b.npy")
         run_cli("generate", "--n", "150", "--seed", "4", "--out", left)
         run_cli("generate", "--n", "150", "--seed", "5", "--out", right)
-        run_cli("query", left, right, "--k", "1")
+        catalog = register(tmp_path, a=left, b=right)
+        run_cli("query", "a", "b", "--catalog", catalog, "--k", "1")
         out = capsys.readouterr().out
         expected = k_closest_pairs(
             bulk_load(load_points(left)),
@@ -103,6 +123,19 @@ class TestBuildInfoQuery:
             request=CPQRequest(k=1),
         )
         assert f"{expected.pairs[0].distance:.9f}" in out
+
+    def test_query_without_catalog_exits_2(self, tmp_path):
+        with pytest.raises(SystemExit) as exited:
+            run_cli("query", str(tmp_path / "a.npy"),
+                    str(tmp_path / "b.npy"))
+        assert exited.value.code == 2
+
+    def test_unregistered_name_exits_2_naming_register(self, tmp_path,
+                                                       capsys):
+        assert run_cli(
+            "query", "a.npy", "b.npy", "--catalog", str(tmp_path),
+        ) == 2
+        assert "repro-cpq catalog register" in capsys.readouterr().err
 
 
 class TestSubstrateCommands:

@@ -17,6 +17,7 @@ from repro.core.api import (
 )
 from repro.core.constraints import ColorSpec, RangeSpec
 from repro.errors import UnsupportedCapabilityError
+from repro.net.wire import WIRE_VERSION
 
 
 class TestRangeSpec:
@@ -195,18 +196,12 @@ class TestWireV2:
         envelope = wire.encode_request(ServiceCPQ(pair="default", k=2))
         assert "range" not in envelope and "colors" not in envelope
 
-    def test_v1_envelope_still_accepted(self):
-        from repro.net import wire
-
-        decoded = wire.decode_request({"v": 1, "op": "cpq", "k": 3})
-        assert decoded.k == 3
-        assert decoded.range is None and decoded.colors is None
-
-    def test_future_version_rejected(self):
+    @pytest.mark.parametrize("version", [1, 2, WIRE_VERSION + 1])
+    def test_future_version_rejected(self, version):
         from repro.net import wire
 
         with pytest.raises(wire.WireError, match="version"):
-            wire.decode_request({"v": wire.WIRE_VERSION + 1, "op": "cpq"})
+            wire.decode_request({"v": version, "op": "cpq"})
 
     def test_plan_range_selectivity_round_trips(self):
         from repro.net import wire

@@ -469,4 +469,4 @@ class TestCLI:
         ]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["status"] == "ok"
-        assert len(payload["pairs"]) == 3
+        assert len(payload["result"]["pairs"]) == 3

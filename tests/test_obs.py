@@ -19,7 +19,6 @@ import pytest
 from repro import bulk_load, k_closest_pairs
 from repro.core.api import CPQRequest
 from repro.cli import main
-from repro.datasets.io import save_points
 from repro.obs import (
     NULL_TRACER,
     NullTracer,
@@ -386,14 +385,16 @@ def _normalise(tree_text: str) -> str:
 
 class TestExplainCli:
     @pytest.fixture(scope="class")
-    def point_files(self, tmp_path_factory):
+    def catalog(self, tmp_path_factory):
+        """A catalog holding STR-packed datasets ``left`` and ``right``."""
+        from repro.catalog import Catalog
+
         rng = np.random.default_rng(23)
         directory = tmp_path_factory.mktemp("explain")
-        left = directory / "left.npy"
-        right = directory / "right.npy"
-        save_points(str(left), rng.random((400, 2)))
-        save_points(str(right), rng.random((380, 2)))
-        return str(left), str(right)
+        catalog = Catalog(str(directory))
+        catalog.register_dataset("left", rng.random((400, 2)), kind="str")
+        catalog.register_dataset("right", rng.random((380, 2)), kind="str")
+        return str(directory)
 
     def run_explain(self, capsys, argv):
         code = main(argv)
@@ -401,22 +402,20 @@ class TestExplainCli:
         assert code == 0
         return captured.out
 
-    def test_golden_span_tree(self, point_files, capsys):
-        left, right = point_files
+    def test_golden_span_tree(self, catalog, capsys):
         out = self.run_explain(capsys, [
-            "explain", left, right, "--k", "3", "--buffer", "16",
-            "--no-times",
+            "explain", "left", "right", "--catalog", catalog,
+            "--k", "3", "--buffer", "16", "--no-times",
         ])
         tree_text = out.split("\n\n", 1)[1].rsplit("\n#", 1)[0]
         assert _normalise(tree_text) == GOLDEN_EXPLAIN
 
     def test_leaf_reads_sum_to_reported_disk_accesses(
-        self, point_files, capsys
+        self, catalog, capsys
     ):
-        left, right = point_files
         out = self.run_explain(capsys, [
-            "explain", left, right, "--k", "2", "--algorithm", "std",
-            "--buffer", "8", "--no-times",
+            "explain", "left", "right", "--catalog", catalog,
+            "--k", "2", "--algorithm", "std", "--buffer", "8", "--no-times",
         ])
         reported = int(
             re.search(r"# STD: (\d+) disk accesses", out).group(1)
@@ -428,12 +427,12 @@ class TestExplainCli:
         assert sum(leaf_reads) == reported
 
     def test_trace_file_round_trips_through_loader(
-        self, point_files, capsys, tmp_path
+        self, catalog, capsys, tmp_path
     ):
-        left, right = point_files
         trace_path = str(tmp_path / "explain.jsonl")
         self.run_explain(capsys, [
-            "explain", left, right, "--k", "2", "--trace", trace_path,
+            "explain", "left", "right", "--catalog", catalog,
+            "--k", "2", "--trace", trace_path,
         ])
         (trace,) = load_trace_jsonl(trace_path)
         assert trace.name == "request"

@@ -375,7 +375,7 @@ class TestServiceAndSocket:
         try:
             conn = http.client.HTTPConnection("127.0.0.1", server.port)
             body = json.dumps({
-                "v": 2, "op": "cpq", "pair": "default", "k": 2,
+                "v": 3, "op": "cpq", "pair": "default", "k": 2,
                 "algorithm": "incremental",
                 "range": {"lo": [0.0, 0.0], "hi": [1.0, 1.0]},
             })

@@ -138,20 +138,10 @@ class TestChecksumProperties:
         page[8:16] = b"\x00" * 8
         return bytes(page)
 
-    def test_legacy_version_zero_pages_read_when_opted_in(self):
-        """Pages written before the checksum era (zeroed padding) are
-        decoded without verification -- but only behind the explicit
-        ``allow_legacy`` flag."""
-        serializer = NodeSerializer(self.layout, allow_legacy=True)
-        entries = [((1.5, -2.5), 7), ((0.25, 8.0), 9)]
-        level, decoded = serializer.deserialize(self.legacy_page(entries))
-        assert level == 0
-        assert decoded == entries
-
     def test_version_zero_rejected_by_default(self):
-        """Without the legacy opt-in a zeroed version word is treated
-        as corruption: it is indistinguishable from a torn header
-        write, which must never decode as an all-zero node."""
+        """A zeroed version word is treated as corruption: it is
+        indistinguishable from a torn header write, which must never
+        decode as an all-zero node."""
         page = self.legacy_page([((1.5, -2.5), 7)])
         with pytest.raises(PageCorruptionError):
             self.make().deserialize(page)
@@ -169,9 +159,8 @@ class TestChecksumProperties:
 
     def test_version_flip_to_zero_detected_even_with_legacy(self):
         """Flipping the version LSB (1 -> 0) must not skip validation:
-        the magic word still carries the v1 stamp, so the page is
-        rejected even by a legacy-tolerant serializer."""
-        serializer = NodeSerializer(self.layout, allow_legacy=True)
+        version 0 is rejected like any unknown version."""
+        serializer = self.make()
         page = bytearray(serializer.serialize_leaf([((1.0, 2.0), 3)]))
         page[8] ^= 0x01
         with pytest.raises(PageCorruptionError):

@@ -4,11 +4,10 @@ A :class:`Catalog` is a JSON sidecar (``catalog.json``) naming the
 datasets of one directory and, per dataset, one or more **built
 indexes**: the index kind (``str`` / ``grid`` / ``dynamic``, see
 :data:`repro.analysis.cost_model.INDEX_KINDS`), the page-file path,
-the committed snapshot generation it was registered at, the mmap
-flag its storage wants, and build statistics.  Everything
-that used to plumb raw ``.pages`` paths and hand-rolled
-:class:`~repro.net.shard.TreeSpec` tuples -- the CLI, the query
-service, the network shards -- resolves catalog names instead::
+the committed snapshot generation it was registered at, and build
+statistics.  Everything that used to plumb raw ``.pages`` paths and
+hand-rolled :class:`~repro.net.shard.TreeSpec` tuples -- the CLI, the
+query service, the network shards -- resolves catalog names instead::
 
     catalog = Catalog("data/catalog.json")
     catalog.register_dataset("parks", points, kind="auto")
@@ -18,8 +17,8 @@ service, the network shards -- resolves catalog names instead::
 :func:`open_tree` is the one function that turns (path, metadata,
 flags) into a live :class:`~repro.rtree.tree.RTree`;
 :meth:`~repro.net.shard.TreeSpec.open` and the CLI's page loading both
-delegate to it, so snapshot-generation and mmap handling cannot drift
-apart again.
+delegate to it, so snapshot-generation handling cannot drift apart
+again.
 
 The schema is versioned (:data:`SCHEMA_VERSION`); a catalog written by
 a future incompatible layout is refused, never guessed at.  Page-file
@@ -56,7 +55,6 @@ def open_tree(
     *,
     metadata: Optional[Dict[str, Any]] = None,
     page_size: Optional[int] = None,
-    use_mmap: bool = False,
     readonly: bool = True,
     buffer_capacity: int = 0,
     read_latency: float = 0.0,
@@ -65,8 +63,8 @@ def open_tree(
 
     Every reopen in the system -- catalog lookups, shard workers
     (:meth:`repro.net.shard.TreeSpec.open`), the CLI's ``.pages``
-    arguments -- goes through here, so the snapshot-generation and
-    mmap handling cannot diverge between layers.
+    arguments -- goes through here, so the snapshot-generation
+    handling cannot diverge between layers.
 
     ``metadata`` is the :meth:`~repro.rtree.tree.RTree.metadata` dict;
     when omitted it is loaded from the ``<path>.meta.json`` sidecar
@@ -90,8 +88,7 @@ def open_tree(
     metadata = dict(metadata)
     if page_size is None:
         page_size = int(metadata["page_size"])
-    store = FilePageStore(path, page_size, readonly=readonly,
-                          use_mmap=use_mmap)
+    store = FilePageStore(path, page_size, readonly=readonly)
     file = PagedFile(
         store,
         buffer_capacity=buffer_capacity,
@@ -132,7 +129,6 @@ class IndexEntry:
     path: str
     page_size: int
     metadata: Dict[str, Any]
-    use_mmap: bool = False
     #: Build statistics: ``build_s`` (wall seconds), ``nodes``,
     #: ``height`` and -- for planner-chosen indexes -- the decision's
     #: evidence dict.
@@ -146,7 +142,6 @@ class IndexEntry:
     def open(
         self,
         *,
-        use_mmap: Optional[bool] = None,
         buffer_capacity: int = 0,
         read_latency: float = 0.0,
         readonly: bool = True,
@@ -156,7 +151,6 @@ class IndexEntry:
             self.path,
             metadata=self.metadata,
             page_size=self.page_size,
-            use_mmap=self.use_mmap if use_mmap is None else use_mmap,
             readonly=readonly,
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
@@ -166,7 +160,6 @@ class IndexEntry:
         self,
         buffer_capacity: int = 64,
         read_latency: float = 0.0,
-        use_mmap: Optional[bool] = None,
     ):
         """This index as a shard-reopenable
         :class:`~repro.net.shard.TreeSpec`."""
@@ -180,7 +173,6 @@ class IndexEntry:
             metadata=dict(self.metadata),
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
-            use_mmap=self.use_mmap if use_mmap is None else use_mmap,
         )
 
     def to_json(self, base_dir: str) -> Dict[str, Any]:
@@ -189,7 +181,6 @@ class IndexEntry:
             "path": os.path.relpath(self.path, base_dir),
             "page_size": self.page_size,
             "metadata": dict(self.metadata),
-            "use_mmap": self.use_mmap,
             "build": dict(self.build),
         }
 
@@ -203,7 +194,6 @@ class IndexEntry:
                 ),
                 page_size=int(obj["page_size"]),
                 metadata=dict(obj["metadata"]),
-                use_mmap=bool(obj.get("use_mmap", False)),
                 build=dict(obj.get("build", {})),
             )
         except KeyError as exc:
@@ -285,7 +275,7 @@ def _build_index(
     dimension: int,
 ) -> RTree:
     """Build one index of ``kind`` into ``pages_path``; returns the
-    (still open, flushed) tree."""
+    (still open, synced) tree."""
     store = FilePageStore(pages_path, page_size)
     file = PagedFile(store, page_size=page_size)
     config = RTreeConfig(
@@ -391,7 +381,6 @@ class Catalog:
         name: str,
         kind: Optional[str] = None,
         *,
-        use_mmap: Optional[bool] = None,
         buffer_capacity: int = 0,
         read_latency: float = 0.0,
         readonly: bool = True,
@@ -409,7 +398,6 @@ class Catalog:
                 f"{entry.path}"
             )
         return entry.open(
-            use_mmap=use_mmap,
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
             readonly=readonly,
@@ -422,13 +410,11 @@ class Catalog:
         *,
         buffer_capacity: int = 64,
         read_latency: float = 0.0,
-        use_mmap: Optional[bool] = None,
     ):
         """One dataset's index as a shard-reopenable ``TreeSpec``."""
         return self.dataset(name).index(kind).tree_spec(
             buffer_capacity=buffer_capacity,
             read_latency=read_latency,
-            use_mmap=use_mmap,
         )
 
     # -- registration ------------------------------------------------------
@@ -446,7 +432,6 @@ class Catalog:
         source: Optional[str] = None,
         overwrite: bool = False,
         planner=None,
-        use_mmap: bool = False,
     ) -> DatasetEntry:
         """Build and persist one dataset's index(es).
 
@@ -519,7 +504,6 @@ class Catalog:
                 path=pages,
                 page_size=page_size,
                 metadata=metadata,
-                use_mmap=use_mmap,
                 build=build,
             )
         self._datasets[name] = entry
@@ -533,7 +517,6 @@ class Catalog:
         *,
         kind: str = "dynamic",
         metadata: Optional[Dict[str, Any]] = None,
-        use_mmap: bool = False,
         source: Optional[str] = None,
         overwrite: bool = False,
     ) -> DatasetEntry:
@@ -573,7 +556,6 @@ class Catalog:
             path=pages_path,
             page_size=int(metadata["page_size"]),
             metadata=dict(metadata),
-            use_mmap=use_mmap,
         )
         self._datasets[name] = entry
         self.save()

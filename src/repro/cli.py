@@ -65,7 +65,7 @@ def _wal_path(tree_path: str) -> str:
     return tree_path + ".wal"
 
 
-def _load_tree(path: str, use_mmap: bool = False) -> RTree:
+def _load_tree(path: str) -> RTree:
     """Open a tree from a .pages file, or build one from a points file.
 
     ``.pages`` inputs reopen through the catalog's
@@ -75,7 +75,7 @@ def _load_tree(path: str, use_mmap: bool = False) -> RTree:
     if path.endswith(".pages"):
         from repro.catalog import open_tree
 
-        return open_tree(path, use_mmap=use_mmap)
+        return open_tree(path)
     return bulk_load(load_points(path))
 
 
@@ -148,11 +148,10 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     if os.path.exists(pages):
         with open(_meta_path(pages)) as handle:
             metadata = json.load(handle)
-        store = FilePageStore(pages, metadata["page_size"],
-                              use_mmap=args.mmap)
+        store = FilePageStore(pages, metadata["page_size"])
         tree = RTree.from_storage(PagedFile(store), metadata)
     else:
-        store = FilePageStore(pages, 1024, use_mmap=args.mmap)
+        store = FilePageStore(pages, 1024)
         tree = RTree(RTreeConfig(), PagedFile(store))
         with open(_meta_path(pages), "w") as handle:
             json.dump(tree.metadata(), handle)
@@ -166,9 +165,9 @@ def cmd_ingest(args: argparse.Namespace) -> int:
     for offset in range(0, len(points), args.batch_size):
         chunk = points[offset:offset + args.batch_size]
         if args.crash_after is not None and batches >= args.crash_after:
-            # Apply part of a batch, then die without COMMIT or flush:
+            # Apply part of a batch, then die without COMMIT or sync:
             # the WAL tail ends mid-batch and the page file may hold
-            # unflushed copy-on-write pages nothing references.
+            # copy-on-write pages nothing references.
             from repro.rtree.entries import LeafEntry
 
             tree._begin_batch()
@@ -232,7 +231,7 @@ def cmd_recover(args: argparse.Namespace) -> int:
     variant = (fallback or {}).get("variant", "rstar")
     tree, result = recover_tree(
         pages, wal_path, page_size=page_size, dimension=dimension,
-        variant=variant, use_mmap=args.mmap, fallback_metadata=fallback,
+        variant=variant, fallback_metadata=fallback,
     )
     print(f"# WAL: {result.batches_applied} committed batches replayed, "
           f"{result.pages_written} page images applied, "
@@ -338,7 +337,7 @@ def cmd_query(args: argparse.Namespace) -> int:
     try:
         catalog = _get_catalog(args)
         tree_p, tree_q = (
-            catalog.open_dataset(name, use_mmap=args.mmap or None)
+            catalog.open_dataset(name)
             for name in (args.left, args.right)
         )
     except CatalogError as exc:
@@ -638,7 +637,7 @@ def cmd_serve_net(args: argparse.Namespace) -> int:
     try:
         catalog = _get_catalog(args)
         # Shard specs come straight from the catalog entries: page
-        # path, snapshot generation and mmap flag included.
+        # path and snapshot generation included.
         specs = [
             catalog.tree_spec(
                 name,
@@ -892,7 +891,6 @@ def _chaos_net_round(schedule: str, plan, shards: int,
                            file=PagedFile(FilePageStore(p_path, 1024)))
         tree_q = bulk_load(points_q,
                            file=PagedFile(FilePageStore(q_path, 1024)))
-        tree_q.file.store.flush()
         meta_p = _meta_path(p_path)
         with open(meta_p, "w") as handle:
             json.dump(tree_p.metadata(), handle)
@@ -923,7 +921,7 @@ def _chaos_net_round(schedule: str, plan, shards: int,
             shard_timeout_s=args.shard_timeout,
             attempt_timeout_s=args.attempt_timeout,
             retry_policy=RetryPolicy(max_attempts=4, base_delay_s=0.01,
-                                     max_delay_s=0.1),
+                                     max_delay_s=0.1, jitter=0.5),
             hedge_policy=HedgePolicy(floor_s=args.hedge_floor_ms / 1000.0,
                                      min_samples=4),
             transport=transport,
@@ -1240,7 +1238,6 @@ def cmd_catalog_register(args: argparse.Namespace) -> int:
             page_size=args.page_size,
             source=args.points,
             overwrite=args.overwrite,
-            use_mmap=args.mmap,
         )
     except CatalogError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -1291,8 +1288,7 @@ def cmd_catalog_info(args: argparse.Namespace) -> int:
         index = entry.indexes[kind]
         print(f"  [{kind}] {os.path.relpath(index.path, catalog.base_dir)}"
               f"  page_size={index.page_size}"
-              f"  generation={index.generation}"
-              f"  mmap={index.use_mmap}")
+              f"  generation={index.generation}")
         for key in ("height", "nodes", "build_s"):
             if key in index.build:
                 print(f"        {key}: {index.build[key]}")
@@ -1409,8 +1405,6 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.add_argument("--sync", choices=("fsync", "flush", "none"),
                         default="flush",
                         help="WAL durability per commit")
-    ingest.add_argument("--mmap", action="store_true",
-                        help="read pages through the mmap path")
     ingest.add_argument("--start-oid", type=int, default=None,
                         help="first object id (default: current count)")
     ingest.add_argument("--keep-wal", action="store_true",
@@ -1429,8 +1423,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="page file (.pages) to recover")
     recover.add_argument("--wal", default=None,
                          help="WAL path (default: <tree>.wal)")
-    recover.add_argument("--mmap", action="store_true",
-                         help="reopen with the mmap read path")
     recover.set_defaults(func=cmd_recover)
 
     query = sub.add_parser(
@@ -1445,8 +1437,6 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument("--algorithm", choices=ALGORITHMS, default="heap")
     query.add_argument("--buffer", type=int, default=0,
                        help="total LRU buffer pages (B/2 per tree)")
-    query.add_argument("--mmap", action="store_true",
-                       help="read pages through the mmap path")
     _add_constraint_flags(query)
     query.set_defaults(func=cmd_query)
 
@@ -1724,9 +1714,6 @@ def build_parser() -> argparse.ArgumentParser:
                               help="comma-separated additional kinds "
                                    "to build alongside")
     cat_register.add_argument("--page-size", type=int, default=1024)
-    cat_register.add_argument("--mmap", action="store_true",
-                              help="record mmap as the index's "
-                                   "preferred read path")
     cat_register.add_argument("--overwrite", action="store_true",
                               help="rebuild over an existing entry")
     cat_register.set_defaults(func=cmd_catalog_register)

@@ -59,7 +59,8 @@ and dropped, never merged twice.  On top of that contract:
   when one is set), so a silently lost frame costs one attempt, not
   the whole budget.
 * **Retries** re-dispatch a failed chunk to another shard under an
-  exponential-backoff-with-jitter :class:`~repro.net.retry.RetryPolicy`.
+  exponential-backoff-with-jitter :class:`~repro.net.retry.RetryPolicy`
+  (default :data:`~repro.net.retry.SHARD_RETRY_POLICY`).
 * **Hedging** duplicates a chunk to a sibling shard once its only
   live attempt has been outstanding longer than a trailing latency
   quantile (:class:`~repro.net.retry.HedgePolicy`); first reply wins.
@@ -112,7 +113,7 @@ from repro.core.engine import (
 from repro.core.result import CPQResult
 from repro.geometry.vectorized import batch_mindist_argsort
 from repro.net.frames import FrameError, decode_frame, encode_frame
-from repro.net.retry import HedgePolicy, RetryPolicy
+from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.rtree.node import Node
 from repro.rtree.tree import RTree
 from repro.service.breaker import CircuitBreaker
@@ -148,8 +149,7 @@ class TreeSpec:
     spec read a consistent tree even while the coordinator's writer
     keeps committing batches.  ``read_latency`` models the device seek
     exactly as :class:`~repro.storage.paged_file.PagedFile` does
-    (benchmarks use it to put shards in the disk-bound regime);
-    ``use_mmap`` reopens the store with the mmap read path.
+    (benchmarks use it to put shards in the disk-bound regime).
     """
 
     path: str
@@ -157,7 +157,6 @@ class TreeSpec:
     metadata: Any
     buffer_capacity: int = 64
     read_latency: float = 0.0
-    use_mmap: bool = False
 
     @property
     def generation(self) -> int:
@@ -167,15 +166,14 @@ class TreeSpec:
     def open(self) -> RTree:
         # One reopen path for the whole system: the catalog owns the
         # (path, metadata, flags) -> RTree logic, so shard workers and
-        # service registration cannot drift on snapshot-generation or
-        # mmap handling.
+        # service registration cannot drift on snapshot-generation
+        # handling.
         from repro.catalog.core import open_tree
 
         return open_tree(
             self.path,
             metadata=dict(self.metadata),
             page_size=self.page_size,
-            use_mmap=self.use_mmap,
             readonly=True,
             buffer_capacity=self.buffer_capacity,
             read_latency=self.read_latency,
@@ -183,16 +181,16 @@ class TreeSpec:
 
 
 def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
-              read_latency: Optional[float] = None,
-              use_mmap: bool = False) -> TreeSpec:
+              read_latency: Optional[float] = None) -> TreeSpec:
     """Describe an open file-backed tree for shard reopening.
 
     The spec captures the tree's *committed snapshot*
     (:meth:`~repro.rtree.tree.RTree.committed`), not its live fields:
     an open mutation batch on a live tree writes only copy-on-write
-    pages, so after the flush below the committed root and everything
-    reachable from it are durable and immutable -- exactly what a
-    shard process must see.
+    pages, so the committed root and everything reachable from it are
+    immutable -- exactly what a shard process must see.  No flush is
+    needed first: :class:`FilePageStore` writes with ``os.pwrite``, so
+    every completed write is already visible to other processes.
     """
     store = tree.file.store
     if not isinstance(store, FilePageStore):
@@ -200,7 +198,6 @@ def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
             "sharding requires file-backed trees (FilePageStore); "
             "in-memory trees cannot be reopened by shard processes"
         )
-    store.flush()
     snapshot = tree.committed()
     metadata = dict(tree.metadata())
     metadata.update(
@@ -217,7 +214,6 @@ def tree_spec(tree: RTree, buffer_capacity: Optional[int] = None,
                          if buffer_capacity is None else buffer_capacity),
         read_latency=(tree.file.read_latency
                       if read_latency is None else read_latency),
-        use_mmap=use_mmap,
     )
 
 
@@ -606,7 +602,7 @@ class ShardManager:
         self.pair = pair
         self.on_failure = on_failure
         self.shard_timeout_s = shard_timeout_s
-        self.retry_policy = retry_policy or RetryPolicy()
+        self.retry_policy = retry_policy or SHARD_RETRY_POLICY
         self.hedge_policy = hedge_policy or HedgePolicy()
         self.attempt_timeout_s = (
             attempt_timeout_s if attempt_timeout_s is not None

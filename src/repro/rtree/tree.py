@@ -418,15 +418,17 @@ class RTree:
     def checkpoint_wal(self, meta_path: Optional[str] = None) -> bool:
         """Truncate the attached WAL once its contents are redundant.
 
-        Makes the log's work durable *elsewhere first* -- flush the
-        page store, then rewrite the ``.meta.json`` sidecar at the
-        committed snapshot -- and only then empties the log, so a
-        crash at any point recovers: before the truncate the WAL
-        replays as usual; after it, the sidecar already describes the
-        flushed pages and there is nothing to replay.  Holds the batch
-        lock, so a checkpoint never interleaves with a half-appended
-        batch (the background :class:`~repro.storage.wal.
-        WALCheckpointer` calls this from its own thread).
+        Makes the log's work durable *elsewhere first* -- fsync the
+        page store (:meth:`~repro.storage.store.FilePageStore.flush`),
+        then rewrite the ``.meta.json`` sidecar at the committed
+        snapshot through an fsynced temp file -- and only then empties
+        the log, so a crash (power loss included) at any point
+        recovers: before the truncate the WAL replays as usual; after
+        it, the sidecar already describes the synced pages and there
+        is nothing to replay.  Holds the batch lock, so a checkpoint
+        never interleaves with a half-appended batch (the background
+        :class:`~repro.storage.wal.WALCheckpointer` calls this from
+        its own thread).
 
         Returns False when no WAL is attached.  Idempotent: an empty
         log checkpoints to an empty log.
@@ -451,6 +453,8 @@ class RTree:
                 tmp = meta_path + ".tmp"
                 with open(tmp, "w", encoding="utf-8") as handle:
                     json.dump(metadata, handle)
+                    handle.flush()
+                    os.fsync(handle.fileno())
                 os.replace(tmp, meta_path)
             self._wal.checkpoint()
         return True

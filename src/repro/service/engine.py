@@ -472,8 +472,7 @@ class QueryService:
 
     def attach_catalog(
         self, catalog, *, kind: Optional[str] = None,
-        use_mmap: Optional[bool] = None, buffer_capacity: int = 64,
-        read_latency: float = 0.0,
+        buffer_capacity: int = 64, read_latency: float = 0.0,
     ) -> None:
         """Resolve unregistered pair names against a catalog.
 
@@ -482,7 +481,7 @@ class QueryService:
         ``"a"``, the self-join) auto-registers it by opening the named
         datasets through :meth:`~repro.catalog.Catalog.open_dataset`
         -- the catalog's metadata, not hand-plumbed paths, decides
-        page size and the mmap flag.  ``kind`` pins one index
+        page size and generation.  ``kind`` pins one index
         kind for every dataset; ``None`` takes each dataset's
         default.  The open keyword arguments apply to every tree
         opened this way; the service closes those trees on
@@ -492,7 +491,6 @@ class QueryService:
         self._catalog = catalog
         self._catalog_open_kwargs = {
             "kind": kind,
-            "use_mmap": use_mmap,
             "buffer_capacity": buffer_capacity,
             "read_latency": read_latency,
         }
@@ -527,9 +525,6 @@ class QueryService:
                     opened[dataset] = self._catalog.open_dataset(
                         dataset,
                         self._catalog_open_kwargs.get("kind"),
-                        use_mmap=self._catalog_open_kwargs.get(
-                            "use_mmap"
-                        ),
                         buffer_capacity=self._catalog_open_kwargs.get(
                             "buffer_capacity", 64
                         ),

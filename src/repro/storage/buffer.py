@@ -27,6 +27,7 @@ moves until a load actually succeeds.
 
 from __future__ import annotations
 
+import random
 import threading
 import time
 from collections import OrderedDict
@@ -37,28 +38,55 @@ from repro.errors import TransientIOError
 from repro.storage.stats import IOStats
 
 
-@dataclass
+@dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff for transient read faults.
+    """Bounded exponential backoff, with optional seeded jitter.
 
-    ``max_attempts`` counts the initial try: 4 means one read plus up
-    to three retries.  ``sleep`` is injectable so tests (and the fault
-    harness) run without wall-clock delays.
+    The one retry schedule of the system: the buffer pool re-reads a
+    page after a :class:`~repro.errors.TransientIOError` with it, and
+    the shard tier (:mod:`repro.net.retry`) re-dispatches an idempotent
+    query chunk with it.  Each caller keeps its own default instance.
+
+    ``max_attempts`` counts the initial try: 4 means one try plus up to
+    three retries.  :meth:`delay` is the wait before the retry that
+    follows ``failures`` failures: ``base_delay_s`` growing by
+    ``multiplier`` per failure, capped at ``max_delay_s``, then up to
+    ``jitter`` of it randomised away when the caller passes a seeded
+    RNG (so deterministic schedules stay deterministic).  ``sleep`` is
+    injectable so tests (and the fault harness) run without wall-clock
+    delays.
     """
 
     max_attempts: int = 4
-    backoff_s: float = 0.001
+    base_delay_s: float = 0.001
     multiplier: float = 2.0
-    max_backoff_s: float = 0.050
+    max_delay_s: float = 0.050
+    #: Fraction of the computed delay randomised away (0 disables).
+    jitter: float = 0.0
     sleep: Callable[[float], None] = field(default=time.sleep, repr=False)
 
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_s < 0 or self.max_backoff_s < 0:
-            raise ValueError("backoff delays must be >= 0")
+        if self.base_delay_s < 0 or self.max_delay_s < 0:
+            raise ValueError("delays must be >= 0")
         if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1.0")
+            raise ValueError("multiplier must be >= 1")
+        if not 0.0 <= self.jitter <= 1.0:
+            raise ValueError("jitter must be in [0, 1]")
+
+    def delay(self, failures: int,
+              rng: Optional[random.Random] = None) -> float:
+        """Backoff before the retry following this many failures."""
+        if failures < 1:
+            return 0.0
+        delay = min(
+            self.max_delay_s,
+            self.base_delay_s * (self.multiplier ** (failures - 1)),
+        )
+        if self.jitter and rng is not None:
+            delay *= 1.0 - self.jitter * rng.random()
+        return delay
 
 
 #: Policy applied by buffers constructed without an explicit one.
@@ -127,7 +155,6 @@ class LRUBuffer:
         retrying cannot fix them.
         """
         policy = self.retry_policy
-        delay = policy.backoff_s
         attempt = 1
         while True:
             try:
@@ -139,9 +166,9 @@ class LRUBuffer:
                     raise
                 with self._lock:
                     self.stats.read_retries += 1
+                delay = policy.delay(attempt)
                 if delay > 0:
                     policy.sleep(delay)
-                delay = min(delay * policy.multiplier, policy.max_backoff_s)
                 attempt += 1
 
     def put(self, page_id: int, data: bytes) -> None:

@@ -13,16 +13,13 @@ Both keep a free list so deleted pages are reused, and both support
 wal`) can re-apply page images to a store that never saw the original
 allocation.
 
-``FilePageStore`` additionally offers an ``mmap``-backed read path
-(``use_mmap=True``): warm page reads become one slice of a shared
-memory mapping instead of a Python ``seek`` + ``read`` round trip
-through the buffered file object.  ``benchmarks/bench_mutation.py``
-measures the difference; ``docs/STORAGE.md`` discusses when it pays.
+``FilePageStore`` reads and writes with positional I/O only, so one
+store is safe to share between reader threads and a writer thread
+(``docs/STORAGE.md``, *Page I/O*).
 """
 
 from __future__ import annotations
 
-import mmap
 import os
 from typing import Dict, List, Optional, Protocol
 
@@ -128,39 +125,36 @@ class FilePageStore:
     is not needed by any experiment -- crash recovery rebuilds it from
     the WAL's FREE records instead).
 
-    ``use_mmap`` switches warm reads to a shared memory mapping of the
-    file: a page read becomes one slice instead of ``seek`` + ``read``
-    through the buffered file object.  The mapping is rebuilt lazily
-    whenever the file has grown past it, and writes performed through
-    this store are flushed before the next mapped read so the mapping
-    (same file, unified page cache) always observes them.
+    Every access is positional I/O on one raw file descriptor:
+    ``os.pread`` for reads, ``os.pwrite`` for writes and file growth,
+    ``os.fstat`` for the size.  There is no shared file offset and no
+    user-space write buffer, so concurrent readers and a writer never
+    interfere: a read returns the bytes the OS holds at that page's
+    offset, and every completed write is visible to the next read,
+    through this handle or any other.  :meth:`flush` makes the writes
+    durable (``os.fsync``).
     """
 
     def __init__(self, path: str, page_size: int = 1024,
-                 readonly: bool = False, use_mmap: bool = False):
+                 readonly: bool = False):
         self.page_size = page_size
         self.path = path
         self.readonly = readonly
-        self.use_mmap = use_mmap
-        if readonly:
-            # Per-process handles of the shard tier: each shard opens
-            # its own file descriptor on the shared page file, so
-            # concurrent readers never share seek state.
-            mode = "rb"
-        else:
-            mode = "r+b" if os.path.exists(path) else "w+b"
-        self._file = open(path, mode)
-        self._file.seek(0, os.SEEK_END)
-        size = self._file.tell()
+        flags = os.O_RDONLY if readonly else os.O_RDWR | os.O_CREAT
+        # An unbuffered file object owns the descriptor, so it is
+        # closed on garbage collection like any other file.
+        self._file = os.fdopen(os.open(path, flags, 0o666),
+                               "rb" if readonly else "r+b", buffering=0)
+        self._fd = self._file.fileno()
+        size = os.fstat(self._fd).st_size
         if size % page_size:
+            self._file.close()
             raise ValueError(
                 f"{path} is {size} bytes, not a multiple of {page_size}"
             )
         self._next_id = size // page_size
         self._allocated = set(range(self._next_id))
         self._free: List[int] = []
-        self._mmap: Optional[mmap.mmap] = None
-        self._unflushed = False
 
     def allocate(self) -> int:
         """Reserve a new page id, growing the file if none are free."""
@@ -170,9 +164,8 @@ class FilePageStore:
         else:
             page_id = self._next_id
             self._next_id += 1
-            self._file.seek(page_id * self.page_size)
-            self._file.write(b"\x00" * self.page_size)
-            self._unflushed = True
+            os.pwrite(self._fd, bytes(self.page_size),
+                      page_id * self.page_size)
         self._allocated.add(page_id)
         return page_id
 
@@ -189,23 +182,18 @@ class FilePageStore:
         if page_id in self._free:
             self._free.remove(page_id)
         if page_id >= self._next_id:
-            self._file.seek(self._next_id * self.page_size)
-            self._file.write(
-                b"\x00" * (page_id + 1 - self._next_id) * self.page_size
+            os.pwrite(
+                self._fd,
+                bytes((page_id + 1 - self._next_id) * self.page_size),
+                self._next_id * self.page_size,
             )
-            self._unflushed = True
             self._next_id = page_id + 1
         self._allocated.add(page_id)
 
     def read(self, page_id: int) -> bytes:
-        """Return the page image, via the mapping when ``use_mmap``."""
+        """Return the page image (one ``os.pread`` at its offset)."""
         self._check(page_id)
-        if self.use_mmap:
-            data = self._read_mmap(page_id)
-            if data is not None:
-                return data
-        self._file.seek(page_id * self.page_size)
-        data = self._file.read(self.page_size)
+        data = os.pread(self._fd, self.page_size, page_id * self.page_size)
         if len(data) != self.page_size:
             # A truncated file (partial write, lost tail) must fail
             # loudly here, not as a confusing serializer error later.
@@ -216,34 +204,6 @@ class FilePageStore:
             )
         return data
 
-    def _read_mmap(self, page_id: int) -> Optional[bytes]:
-        """One-slice read through the mapping; None to fall back.
-
-        Buffered writes through ``self._file`` are flushed first so the
-        mapping (same file, unified page cache) observes them; the
-        mapping is remapped when the file has grown past its end.
-        """
-        if self._unflushed:
-            self._file.flush()
-            self._unflushed = False
-        start = page_id * self.page_size
-        end = start + self.page_size
-        if self._mmap is None or end > len(self._mmap):
-            self._remap()
-        if self._mmap is None or end > len(self._mmap):
-            return None  # file genuinely shorter: buffered path raises
-        return bytes(self._mmap[start:end])
-
-    def _remap(self) -> None:
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
-        size = os.fstat(self._file.fileno()).st_size
-        if size:
-            self._mmap = mmap.mmap(
-                self._file.fileno(), size, access=mmap.ACCESS_READ
-            )
-
     def write(self, page_id: int, data: bytes) -> None:
         """Replace the page image (must be exactly ``page_size`` bytes)."""
         self._check_writable()
@@ -252,9 +212,7 @@ class FilePageStore:
             raise ValueError(
                 f"page image of {len(data)} bytes; expected {self.page_size}"
             )
-        self._file.seek(page_id * self.page_size)
-        self._file.write(data)
-        self._unflushed = True
+        os.pwrite(self._fd, data, page_id * self.page_size)
 
     def free(self, page_id: int) -> None:
         """Release a page for reuse."""
@@ -275,16 +233,15 @@ class FilePageStore:
         return len(self._allocated)
 
     def flush(self) -> None:
-        """Flush buffered writes to the OS."""
-        self._file.flush()
-        self._unflushed = False
+        """Make every completed write durable (``os.fsync``)."""
+        os.fsync(self._fd)
 
     def close(self) -> None:
-        """Unmap (when mapped) and close the file handle."""
-        if self._mmap is not None:
-            self._mmap.close()
-            self._mmap = None
+        """Close the file (idempotent)."""
         self._file.close()
+        # A stale descriptor number could be reused by another open
+        # file; -1 makes any later access fail with EBADF instead.
+        self._fd = -1
 
     def __enter__(self) -> "FilePageStore":
         return self

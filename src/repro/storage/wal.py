@@ -341,7 +341,7 @@ class WALCheckpointer:
     Watches one live tree's log and calls ``checkpoint()`` (by default
     the tree's :meth:`~repro.rtree.tree.RTree.checkpoint_wal`) whenever
     the log grows past ``threshold_bytes`` -- bounding both recovery
-    replay time and disk held by page images that the flushed store
+    replay time and disk held by page images that the synced store
     already owns.  The checkpoint callable is responsible for its own
     atomicity (``checkpoint_wal`` takes the tree's batch lock, so a
     checkpoint never interleaves with a half-appended batch).
@@ -410,7 +410,6 @@ class WALCheckpointer:
 
 def recover_tree(pages_path: str, wal_path: str, page_size: int = 1024,
                  dimension: int = 2, variant: str = "rstar",
-                 use_mmap: bool = False,
                  fallback_metadata: Optional[dict] = None):
     """Replay a WAL onto a page file and reopen the tree it describes.
 
@@ -427,7 +426,7 @@ def recover_tree(pages_path: str, wal_path: str, page_size: int = 1024,
     from repro.storage.paged_file import PagedFile
     from repro.storage.store import FilePageStore
 
-    store = FilePageStore(pages_path, page_size, use_mmap=use_mmap)
+    store = FilePageStore(pages_path, page_size)
     with WriteAheadLog(wal_path, sync_mode="none") as wal:
         result = wal.recover_into(store)
         wal.truncate_torn_tail()

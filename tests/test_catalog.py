@@ -127,11 +127,14 @@ class TestPersistence:
 
     def test_dropped_index_flag_still_loads(self, catalog, tmp_path):
         """Catalog files written with the former ``allow_legacy_pages``
-        index key keep loading; the key is not written back."""
+        and ``use_mmap`` index keys keep loading; neither key is
+        written back."""
         catalog.register_dataset("old", _points(25), kind="str")
         with open(tmp_path / CATALOG_FILENAME) as handle:
             obj = json.load(handle)
-        obj["datasets"]["old"]["indexes"]["str"]["allow_legacy_pages"] = False
+        index = obj["datasets"]["old"]["indexes"]["str"]
+        index["allow_legacy_pages"] = False
+        index["use_mmap"] = True
         with open(tmp_path / CATALOG_FILENAME, "w") as handle:
             json.dump(obj, handle)
         reloaded = Catalog(str(tmp_path))
@@ -141,9 +144,9 @@ class TestPersistence:
         finally:
             tree.file.store.close()
         reloaded.save()
-        assert "allow_legacy_pages" not in (
-            tmp_path / CATALOG_FILENAME
-        ).read_text()
+        text = (tmp_path / CATALOG_FILENAME).read_text()
+        assert "allow_legacy_pages" not in text
+        assert "use_mmap" not in text
 
     def test_corrupt_catalog_file_refused(self, tmp_path):
         (tmp_path / CATALOG_FILENAME).write_text("{not json")

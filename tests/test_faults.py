@@ -188,7 +188,7 @@ class TestBufferRetry:
         with pytest.raises(ValueError):
             RetryPolicy(max_attempts=0)
         with pytest.raises(ValueError):
-            RetryPolicy(backoff_s=-1.0)
+            RetryPolicy(base_delay_s=-1.0)
         with pytest.raises(ValueError):
             RetryPolicy(multiplier=0.5)
 

@@ -30,7 +30,7 @@ from repro.net.faults import (
     truncate_frame,
 )
 from repro.net.frames import FrameError, decode_frame, encode_frame
-from repro.net.retry import HedgePolicy, RetryPolicy
+from repro.net.retry import SHARD_RETRY_POLICY, HedgePolicy, RetryPolicy
 from repro.net.shard import ShardManager, tree_spec
 from repro.rtree.bulk import bulk_load
 from repro.storage.paged_file import PagedFile
@@ -108,7 +108,7 @@ class TestPlans:
         # Every schedule's worst loss streak fits inside the default
         # retry budget, and kills are capped -- the properties the
         # module docstring promises.
-        policy = RetryPolicy()
+        policy = SHARD_RETRY_POLICY
         for name, plan in SCHEDULES.items():
             assert plan.max_consecutive < policy.max_attempts, name
             assert plan.max_kills <= 3, name

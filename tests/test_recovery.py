@@ -151,23 +151,22 @@ class TestCrashRecovery:
         run_cli("recover", "--tree", pages)
         assert open(pages + ".meta.json").read() == before
 
-    def test_mmap_reopen_matches_buffered(self, crashed_workdir,
-                                          query_side):
-        __, __, pages = crashed_workdir
+    def test_readonly_reopen_matches_baseline(self, crashed_workdir,
+                                              query_side):
+        __, points, pages = crashed_workdir
         run_cli("recover", "--tree", pages)
         with open(pages + ".meta.json") as handle:
             metadata = json.load(handle)
         request = CPQRequest(k=7, algorithm="heap")
-        results = []
-        for use_mmap in (False, True):
-            store = FilePageStore(pages, metadata["page_size"],
-                                  readonly=True, use_mmap=use_mmap)
+        store = FilePageStore(pages, metadata["page_size"], readonly=True)
+        try:
             tree = RTree.from_storage(PagedFile(store), metadata)
-            results.append(pairs_signature(
-                k_closest_pairs(tree, query_side, request=request)
-            ))
+            got = k_closest_pairs(tree, query_side, request=request)
+        finally:
             store.close()
-        assert results[0] == results[1]
+        expected = k_closest_pairs(baseline_tree(points), query_side,
+                                   request=request)
+        assert pairs_signature(got) == pairs_signature(expected)
 
 
 class TestTornWal:

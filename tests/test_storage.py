@@ -1,5 +1,9 @@
 """Tests for page layout, serialisation and page stores."""
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.storage.page import HEADER_SIZE, PageLayout, entry_size
@@ -206,8 +210,8 @@ class TestEnsureAllocated:
         assert store.read(pid) == b"\x02" * 1024
 
 
-class TestMmapReadPath:
-    def test_mmap_reads_match_buffered(self, tmp_path):
+class TestPositionalIO:
+    def test_reads_through_another_handle(self, tmp_path):
         path = str(tmp_path / "m.bin")
         images = {}
         with FilePageStore(path, 1024) as store:
@@ -215,28 +219,22 @@ class TestMmapReadPath:
                 pid = store.allocate()
                 images[pid] = bytes([fill]) * 1024
                 store.write(pid, images[pid])
-            store.flush()
-        with FilePageStore(path, 1024, readonly=True,
-                           use_mmap=True) as mapped:
+        with FilePageStore(path, 1024, readonly=True) as reader:
             for pid, image in images.items():
-                assert mapped.read(pid) == image
+                assert reader.read(pid) == image
 
-    def test_mapped_store_sees_its_own_writes(self, tmp_path):
-        # A writable mmap store must flush before mapping, or a read
-        # would return stale bytes from before the buffered write.
+    def test_store_sees_its_own_writes(self, tmp_path):
         path = str(tmp_path / "rw.bin")
-        with FilePageStore(path, 1024, use_mmap=True) as store:
+        with FilePageStore(path, 1024) as store:
             pid = store.allocate()
             store.write(pid, b"\xaa" * 1024)
             assert store.read(pid) == b"\xaa" * 1024
             store.write(pid, b"\xbb" * 1024)
             assert store.read(pid) == b"\xbb" * 1024
 
-    def test_remap_after_growth(self, tmp_path):
-        # Reads establish a mapping sized to the file; later
-        # allocations grow the file and must trigger a remap.
+    def test_reads_after_growth(self, tmp_path):
         path = str(tmp_path / "grow.bin")
-        with FilePageStore(path, 1024, use_mmap=True) as store:
+        with FilePageStore(path, 1024) as store:
             first = store.allocate()
             store.write(first, b"\x01" * 1024)
             assert store.read(first) == b"\x01" * 1024
@@ -246,10 +244,63 @@ class TestMmapReadPath:
             for pid in later:
                 assert store.read(pid) == bytes([pid % 256]) * 1024
 
-    def test_mmap_on_empty_file_falls_back(self, tmp_path):
-        # Zero-length files cannot be mapped; reads must not crash.
+    def test_empty_file_grows_on_first_allocate(self, tmp_path):
         path = str(tmp_path / "empty.bin")
-        with FilePageStore(path, 1024, use_mmap=True) as store:
+        with FilePageStore(path, 1024) as store:
+            assert len(store) == 0
             pid = store.allocate()
             store.write(pid, b"\x0f" * 1024)
             assert store.read(pid) == b"\x0f" * 1024
+
+    def test_concurrent_readers_and_writer(self, tmp_path):
+        """Four reader threads and one allocating writer share one
+        store; with no shared file offset every read returns its own
+        page's bytes, however often the interpreter switches threads."""
+        def image(pid):
+            return pid.to_bytes(4, "little") * 256
+
+        path = str(tmp_path / "shared.bin")
+        store = FilePageStore(path, 1024)
+        published = []
+        for __ in range(64):
+            pid = store.allocate()
+            store.write(pid, image(pid))
+            published.append(pid)
+        wrong, errors = [], []
+
+        def reader(seed):
+            rng = random.Random(seed)
+            try:
+                for __ in range(2000):
+                    pid = rng.choice(published)
+                    if store.read(pid) != image(pid):
+                        wrong.append(pid)
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        def writer():
+            try:
+                for __ in range(500):
+                    pid = store.allocate()
+                    store.write(pid, image(pid))
+                    published.append(pid)
+            except Exception as exc:  # noqa: BLE001 -- reported below
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(seed,))
+                   for seed in range(4)]
+        threads.append(threading.Thread(target=writer))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+        finally:
+            sys.setswitchinterval(interval)
+            store.close()
+        assert errors == []
+        assert wrong == []
+        assert len(published) == 564

@@ -1,6 +1,6 @@
 """WAL checkpointing: truncation, sidecar ordering, recovery interplay.
 
-The checkpoint contract is "durable elsewhere first": flush the page
+The checkpoint contract is "durable elsewhere first": fsync the page
 store, atomically rewrite the ``.meta.json`` sidecar at the committed
 snapshot, *then* empty the log.  These tests pin the consequences --
 a checkpoint erases a torn tail along with everything else, recovery
@@ -145,6 +145,52 @@ class TestCheckpoint:
                              str(tmp_path / "t.pages"), PAGE)))
         assert tree.checkpoint_wal() is False
         tree.file.store.close()
+
+
+class TestDurability:
+    def test_fsync_mode_syncs_pages_and_sidecar_before_truncate(
+            self, tmp_path, monkeypatch):
+        """In ``sync_mode="fsync"`` the checkpoint may empty the log
+        only after the page file and the new sidecar are on disk:
+        otherwise a power loss right after it loses committed
+        batches."""
+        pages = str(tmp_path / "live.pages")
+        meta = pages + ".meta.json"
+        tree = bulk_load(make_points(120, seed=3),
+                         file=PagedFile(FilePageStore(pages, PAGE)))
+        wal = WriteAheadLog(pages + ".wal", sync_mode="fsync")
+        tree.enable_live_mutation(wal)
+        try:
+            insert_batches(tree, 2)
+            events = []
+            real_fsync, real_checkpoint = os.fsync, wal.checkpoint
+
+            def recording_fsync(fd):
+                st = os.fstat(fd)
+                events.append(("fsync", (st.st_dev, st.st_ino)))
+                real_fsync(fd)
+
+            def recording_checkpoint():
+                events.append(("truncate", None))
+                real_checkpoint()
+
+            monkeypatch.setattr(os, "fsync", recording_fsync)
+            monkeypatch.setattr(wal, "checkpoint", recording_checkpoint)
+            assert tree.checkpoint_wal(meta) is True
+        finally:
+            wal.close()
+            tree.file.store.close()
+
+        def file_id(path):
+            st = os.stat(path)
+            return (st.st_dev, st.st_ino)
+
+        truncate = events.index(("truncate", None))
+        synced = {key for kind, key in events[:truncate] if kind == "fsync"}
+        assert file_id(pages) in synced
+        # The sidecar's temp file was synced before it replaced the
+        # old sidecar, so the renamed file is the synced inode.
+        assert file_id(meta) in synced
 
 
 class TestWALCheckpointer:
